@@ -101,11 +101,9 @@ class MarketMakerAgent:
     # -- quoting ------------------------------------------------------------------
 
     def start(self, interval_ms: int = 1000) -> None:
-        def tick() -> None:
-            self.quote_cycle(self.sched.now())
-            self.sched.schedule_in(interval_ms, 3, "mm_quote", tick)
-
-        self.sched.schedule(interval_ms, 3, "mm_quote", tick)
+        self.sched.every(
+            interval_ms, interval_ms, 3, "mm_quote", lambda: self.quote_cycle(self.sched.now())
+        )
 
     def quote_cycle(self, now: int) -> None:
         ref = self.oracle.reference_price()

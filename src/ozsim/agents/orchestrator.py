@@ -99,13 +99,12 @@ class Orchestrator:
         self.log_workflows = log_workflows
         self.users: dict[str, UserState] = {}
         self.platform_addresses: set[str] = set()
-        self.agent_versions = {"compliance": "v1", "issuance": "v1", "market-maker": "v1", "risk": "v1"}
         self._maker_contexts: dict[int, dict] = {}
         exchange.on_trade(self._watch_maker_fills)
 
     # -- registry -----------------------------------------------------------
 
-    def register_platform(self, address: str, holdings: int = 0) -> None:
+    def register_platform(self, address: str) -> None:
         """Platform actors (market maker, cold storage) bypass onboarding."""
         self.platform_addresses.add(address)
 

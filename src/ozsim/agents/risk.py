@@ -98,7 +98,6 @@ class RiskAgent:
         oracle: Optional[OracleHub] = None,
         config: Optional[RiskConfig] = None,
         governance=None,
-        agent_versions: Optional[dict[str, str]] = None,
     ):
         self.sched = sched
         self.log = log
@@ -106,7 +105,7 @@ class RiskAgent:
         self.oracle = oracle
         self.config = config or RiskConfig()
         self.governance = governance
-        self.agent_versions = agent_versions if agent_versions is not None else {}
+        self.agent_versions: dict[str, str] = {}
         self.gate = AdmissionGate(self.config.service_rate, self.config.admission_headroom)
         self.alerts: list[RiskAlert] = []
         self.oracle_alert: Optional[RiskAlert] = None
@@ -119,11 +118,10 @@ class RiskAgent:
         return self.shortfall_alert is not None and self.shortfall_alert.cleared_at is None
 
     def start(self) -> None:
-        def tick() -> None:
-            self.cycle(self.sched.now())
-            self.sched.schedule_in(self.config.cycle_ms, 0, "risk_cycle", tick)
-
-        self.sched.schedule(self.config.phase_ms, 0, "risk_cycle", tick)
+        self.sched.every(
+            self.config.phase_ms, self.config.cycle_ms, 0, "risk_cycle",
+            lambda: self.cycle(self.sched.now()),
+        )
 
     def _raise(self, kind: str, now: int, action: str, detail: dict) -> RiskAlert:
         alert = RiskAlert(kind, now, action, detail)

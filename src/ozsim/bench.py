@@ -37,7 +37,7 @@ def bench_config(base: ScenarioConfig, users: int) -> ScenarioConfig:
 
 def run_count(base: ScenarioConfig, users: int, warmup_ms: int = 15_000) -> BenchRow:
     config = bench_config(base, users)
-    sim = Simulation(config, events_stream=None, keep_events=False)
+    sim = Simulation(config)
     sim.execute()
     window = [s for s in sim.metrics.samples if s.t_ms > warmup_ms]
     tps_values = [s.tps for s in window]

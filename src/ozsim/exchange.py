@@ -296,11 +296,8 @@ class Exchange:
     # -- settlement -----------------------------------------------------------
 
     def start_settlement(self) -> None:
-        def tick() -> None:
-            self.settle_batch()
-            self.sched.schedule_in(self.settle_interval_ms, 0, "settle", tick)
-
-        self.sched.schedule_in(self.settle_interval_ms, 0, "settle", tick)
+        interval = self.settle_interval_ms
+        self.sched.every(self.sched.now() + interval, interval, 0, "settle", self.settle_batch)
 
     def settle_batch(self) -> list[int]:
         """Net accumulated trades per pair into at most one transfer each."""

@@ -133,6 +133,10 @@ class Ledger:
         self.trading_paused = False
         self.breaker_tripped_at: Optional[int] = None
         self.reference_feed = "primary"
+        # one {tripped_at, reason[, lifted_at, lift_reason]} row per halt
+        self.halts: list[dict] = []
+        # (t, amount) of every applied reserve attestation
+        self.reserve_attestations: list[tuple[int, int]] = []
 
         self.height = 0
         self.accepted_tx_count = 0
@@ -151,8 +155,10 @@ class Ledger:
         if self._started:
             return
         self._started = True
-        first = self.sched.now() + self.block_interval_ms
-        self.sched.schedule(first, BLOCK_PRIORITY, "block", self._produce_block)
+        self.sched.every(
+            self.sched.now() + self.block_interval_ms, self.block_interval_ms,
+            BLOCK_PRIORITY, "block", self._produce_block,
+        )
 
     def genesis_mint(self, recipient: str, amount: int) -> None:
         """Pre-start allocation, recorded as a height-0 event."""
@@ -234,9 +240,6 @@ class Ledger:
                         now + self.commit_latency_ms + offset, 2, "confirmations",
                         lambda r=group: self._confirm(r),
                     )
-        self.sched.schedule(
-            now + self.block_interval_ms, BLOCK_PRIORITY, "block", self._produce_block
-        )
 
     @staticmethod
     def _confirm(receipts: list[tuple[Tx, Receipt]]) -> None:
@@ -307,9 +310,11 @@ class Ledger:
     def set_attested_reserve(self, amount: int, auditor: str) -> Receipt:
         if auditor not in self.authorized_auditors:
             return Receipt(False, REVERT_UNAUTHORIZED)
+        now = self.sched.now()
         self.attested_reserve = amount
+        self.reserve_attestations.append((now, amount))
         self.log.append(
-            self.sched.now(),
+            now,
             "ledger",
             "reserve_attested",
             {"amount": amount, "auditor": auditor},
@@ -361,6 +366,7 @@ class Ledger:
             return
         self.trading_paused = True
         self.breaker_tripped_at = now
+        self.halts.append({"tripped_at": now, "reason": reason})
         cooldown = int(self.params.get("breaker_cooldown_ms"))
         self.log.append(
             now,
@@ -388,6 +394,8 @@ class Ledger:
         self.trading_paused = False
         self.breaker_tripped_at = None
         self._price_window.clear()
+        if self.halts and "lifted_at" not in self.halts[-1]:
+            self.halts[-1].update(lifted_at=now, lift_reason=reason)
         self.log.append(now, "ledger", "breaker_lifted", {"reason": reason})
         for listener in list(self._lift_listeners):
             listener(now)

@@ -72,11 +72,10 @@ class MetricsCollector:
         self.reports.append(report)
 
     def start(self) -> None:
-        def tick() -> None:
-            self.sample(self.sched.now())
-            self.sched.schedule_in(self.sample_interval_ms, 5, "metrics_sample", tick)
-
-        self.sched.schedule(self.sample_interval_ms, 5, "metrics_sample", tick)
+        interval = self.sample_interval_ms
+        self.sched.every(
+            interval, interval, 5, "metrics_sample", lambda: self.sample(self.sched.now())
+        )
 
     def sample(self, now: int) -> Sample:
         elapsed = now - self._last_sample_ms or self.sample_interval_ms

@@ -122,11 +122,10 @@ class OracleHub:
         self.true_price = p
 
     def start(self, interval_ms: int = 1000) -> None:
-        def tick() -> None:
-            self.step(self.sched.now())
-            self.sched.schedule_in(interval_ms, 2, "oracle_step", tick)
-
-        self.sched.schedule_in(interval_ms, 2, "oracle_step", tick)
+        self.sched.every(
+            self.sched.now() + interval_ms, interval_ms, 2, "oracle_step",
+            lambda: self.step(self.sched.now()),
+        )
 
     def step(self, now: int) -> None:
         self.true_price = self.process.step(now)

@@ -66,7 +66,7 @@ def replay(path: str | Path, rerun: bool = True) -> ReplayResult:
     except ConfigError as exc:
         return ReplayResult(DIGEST_MISMATCH, recorded, stream_digest, None,
                             f"embedded config invalid: {exc}")
-    result = run_scenario(config, out_dir=None, keep_events=False)
+    result = run_scenario(config)
     if result.digest != recorded:
         return ReplayResult(
             DIGEST_MISMATCH, recorded, stream_digest, result.digest,

@@ -117,10 +117,10 @@ class LoadGenerator:
 
 
 class Simulation:
-    def __init__(self, config: ScenarioConfig, events_stream=None, keep_events: bool = True):
+    def __init__(self, config: ScenarioConfig, events_stream=None):
         self.config = config
         self.sched = Scheduler(seed=config.seed)
-        self.log = EventLog(stream=events_stream, keep=keep_events)
+        self.log = EventLog(stream=events_stream, keep=False)
         self.log.append(0, "harness", "scenario_start", {"config": config.to_dict(), "version": 1})
 
         self.ledger = Ledger(
@@ -369,16 +369,13 @@ class Simulation:
 
     def _schedule_snapshots(self) -> None:
         interval = self.config.snapshot_interval_ms
-        if interval <= 0:
-            return
-
-        def tick() -> None:
-            self.log.append(
-                self.sched.now(), "ledger", "state_snapshot", self.ledger.snapshot()
+        if interval > 0:
+            self.sched.every(
+                interval, interval, 5, "state_snapshot",
+                lambda: self.log.append(
+                    self.sched.now(), "ledger", "state_snapshot", self.ledger.snapshot()
+                ),
             )
-            self.sched.schedule_in(interval, 5, "state_snapshot", tick)
-
-        self.sched.schedule(interval, 5, "state_snapshot", tick)
 
     def _schedule_ops(self) -> None:
         for entry in self.config.ops_schedule:
@@ -417,21 +414,6 @@ class Simulation:
 
     # -- post-run extraction -------------------------------------------------
 
-    def halts(self) -> list[dict]:
-        events = []
-        open_halt = None
-        for record in self.log.records:
-            if record["kind"] == "breaker_tripped":
-                open_halt = {"tripped_at": record["t"], "reason": record["detail"]["reason"]}
-            elif record["kind"] == "breaker_lifted" and open_halt is not None:
-                open_halt["lifted_at"] = record["t"]
-                open_halt["lift_reason"] = record["detail"]["reason"]
-                events.append(open_halt)
-                open_halt = None
-        if open_halt is not None:
-            events.append(open_halt)
-        return events
-
     def alerts(self) -> list[dict]:
         return [
             {
@@ -455,29 +437,16 @@ class Simulation:
         for fault in self.config.fault_schedule:
             onset = fault.start_ms
             if fault.kind == "misreport":
-                # observable when the first short-reporting attestation lands
-                # on-chain: join the vault record with its ledger application
+                # observable when the first short-reporting attestation lands on-chain
                 short = next(
-                    (
-                        r for r in self.log.records
-                        if r["kind"] == "attestation"
-                        and r["t"] >= fault.start_ms
-                        and r["detail"]["reported"] != r["detail"]["actual"]
-                    ),
-                    None,
+                    (a for a in self.vault.short_attestations if a[0] >= fault.start_ms), None
                 )
                 if short is not None:
-                    applied = next(
-                        (
-                            r["t"] for r in self.log.records
-                            if r["kind"] == "reserve_attested"
-                            and r["t"] > short["t"]
-                            and r["detail"]["amount"] == short["detail"]["reported"]
-                        ),
-                        None,
+                    onset = next(
+                        (t for t, amount in self.ledger.reserve_attestations
+                         if t > short[0] and amount == short[1]),
+                        onset,
                     )
-                    if applied is not None:
-                        onset = applied
             accepted = kind_map.get(fault.kind, ())
             matches = [
                 a for a in self.risk.alerts
@@ -499,7 +468,6 @@ class Simulation:
 def run_scenario(
     config: ScenarioConfig,
     out_dir: Optional[str | Path] = None,
-    keep_events: bool = True,
 ) -> RunResult:
     out_path: Optional[Path] = None
     events_fh = None
@@ -508,7 +476,7 @@ def run_scenario(
         out_path.mkdir(parents=True, exist_ok=True)
         events_fh = open(out_path / "events.jsonl", "w", encoding="utf-8")
     try:
-        sim = Simulation(config, events_stream=events_fh, keep_events=keep_events)
+        sim = Simulation(config, events_stream=events_fh)
         digest = sim.execute()
         outcomes: dict[str, int] = {}
         for decision in sim.compliance.decisions.values():
@@ -517,8 +485,8 @@ def run_scenario(
             config=config,
             digest=digest,
             alerts=sim.alerts(),
-            halts=sim.halts() if keep_events else [],
-            fault_findings=sim.fault_findings() if keep_events else [],
+            halts=sim.ledger.halts,
+            fault_findings=sim.fault_findings(),
             extra={"supply_oz": from_micro(sim.ledger.total_supply),
                    "reserve_oz": from_micro(sim.ledger.attested_reserve),
                    "compliance_outcomes": outcomes},

@@ -12,7 +12,6 @@ import hashlib
 import heapq
 import json
 import random
-from dataclasses import dataclass, field
 from typing import IO, Any, Callable, Optional
 
 
@@ -39,37 +38,27 @@ class RngStream(random.Random):
         self.label = label
 
 
-@dataclass
-class EventHandle:
-    """Returned by schedule(); allows cancellation before firing."""
-
-    fire_at: int
-    priority: int
-    seq: int
-    kind: str
-    cancelled: bool = field(default=False, compare=False)
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class Scheduler:
     """Single-threaded event loop with a millisecond clock.
 
     Priorities (lower fires first at equal time) used across the simulator:
-      0  risk-agent cycles and settlement batching
+      0  risk-agent cycles, settlement batching and breaker lifts
       1  ledger block production
-      2  agent, oracle and user events
+      2  agent, oracle and user events, block confirmations
       3  market-maker quote cycles
       4  fault-schedule toggles
-      5  metrics sampling
+      5  metrics sampling and state snapshots
+
+    Periodic work registers through every(), which runs its body and then
+    reschedules it one interval later, so an event the body schedules for the
+    next tick's (time, priority) fires before that tick.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._now = 0
         self._seq = 0
-        self._heap: list[tuple[int, int, int, EventHandle, Callable[[], None]]] = []
+        self._heap: list[tuple[int, int, int, Callable[[], None]]] = []
 
     def now(self) -> int:
         return self._now
@@ -79,18 +68,27 @@ class Scheduler:
 
     def schedule(
         self, fire_at: int, priority: int, kind: str, action: Callable[[], None]
-    ) -> EventHandle:
+    ) -> None:
         if fire_at < self._now:
             raise PastTime(f"cannot schedule {kind!r} at t={fire_at} (now={self._now})")
-        handle = EventHandle(fire_at, priority, self._seq, kind)
-        heapq.heappush(self._heap, (fire_at, priority, self._seq, handle, action))
+        heapq.heappush(self._heap, (fire_at, priority, self._seq, action))
         self._seq += 1
-        return handle
 
     def schedule_in(
         self, delay: int, priority: int, kind: str, action: Callable[[], None]
-    ) -> EventHandle:
-        return self.schedule(self._now + delay, priority, kind, action)
+    ) -> None:
+        self.schedule(self._now + delay, priority, kind, action)
+
+    def every(
+        self, start: int, interval: int, priority: int, kind: str, fn: Callable[[], None]
+    ) -> None:
+        """Run fn() at start, start + interval, start + 2*interval, ..."""
+
+        def fire() -> None:
+            fn()
+            self.schedule(self._now + interval, priority, kind, fire)
+
+        self.schedule(start, priority, kind, fire)
 
     def run_until(self, end: int) -> int:
         """Process every event with fire_at <= end; leaves now() == end."""
@@ -98,17 +96,12 @@ class Scheduler:
             raise PastTime(f"cannot run backwards to t={end} (now={self._now})")
         fired = 0
         while self._heap and self._heap[0][0] <= end:
-            fire_at, _, _, handle, action = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
+            fire_at, _, _, action = heapq.heappop(self._heap)
             self._now = fire_at
             action()
             fired += 1
         self._now = end
         return fired
-
-    def pending(self) -> int:
-        return sum(1 for item in self._heap if not item[3].cancelled)
 
 
 def canonical_line(record: dict) -> str:

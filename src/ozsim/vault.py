@@ -31,7 +31,6 @@ class Attestation:
 
 @dataclass
 class Ticket:
-    ticket_id: int
     amount: int
     purpose: str  # "issuance" | "withdrawal"
     open: bool = True
@@ -55,8 +54,8 @@ class Vault:
         self.attestation_interval_ms = attestation_interval_ms
         self.submit_attestation = submit_attestation
         self.misreport_fraction: Optional[float] = None
-        self._next_ticket = 1
-        self._tickets: dict[int, Ticket] = {}
+        # (t, reported) of every attestation reporting less than is held
+        self.short_attestations: list[tuple[int, int]] = []
 
     @property
     def unlocked_micro_oz(self) -> int:
@@ -70,10 +69,7 @@ class Vault:
                 f"need {amount}, unlocked {self.unlocked_micro_oz}"
             )
         self.locked_micro_oz += amount
-        ticket = Ticket(self._next_ticket, amount, "issuance")
-        self._next_ticket += 1
-        self._tickets[ticket.ticket_id] = ticket
-        return ticket
+        return Ticket(amount, "issuance")
 
     def release(self, ticket: Ticket) -> None:
         """Undo an issuance lock after a failed mint."""
@@ -88,10 +84,7 @@ class Vault:
         """Cover a confirmed burn; moves locked metal toward the door."""
         if self.locked_micro_oz < amount:
             raise UncoveredWithdrawal(f"locked {self.locked_micro_oz} < {amount}")
-        ticket = Ticket(self._next_ticket, amount, "withdrawal")
-        self._next_ticket += 1
-        self._tickets[ticket.ticket_id] = ticket
-        return ticket
+        return Ticket(amount, "withdrawal")
 
     def withdraw_physical(self, ticket: Ticket) -> None:
         if ticket.purpose != "withdrawal" or not ticket.open:
@@ -118,6 +111,8 @@ class Vault:
         reported = self.total_micro_oz
         if self.misreport_fraction is not None:
             reported = round(self.total_micro_oz * (1.0 - self.misreport_fraction))
+        if reported != self.total_micro_oz:
+            self.short_attestations.append((now, reported))
         attestation = Attestation(reported, now, self.auditor)
         self.log.append(
             now, "vault", "attestation", {"reported": reported, "actual": self.total_micro_oz}
@@ -127,11 +122,11 @@ class Vault:
         return attestation
 
     def start(self) -> None:
-        def tick() -> None:
-            self.issue_attestation(self.sched.now())
-            self.sched.schedule_in(self.attestation_interval_ms, 2, "attestation", tick)
-
-        self.sched.schedule_in(self.attestation_interval_ms, 2, "attestation", tick)
+        interval = self.attestation_interval_ms
+        self.sched.every(
+            self.sched.now() + interval, interval, 2, "attestation",
+            lambda: self.issue_attestation(self.sched.now()),
+        )
 
     # -- fault injection -----------------------------------------------------
 

@@ -31,9 +31,9 @@ def report(criterion: int, ok: bool, message: str) -> None:
 _cache: dict = {}
 
 
-def bundled_run(name: str, keep_events: bool = False):
+def bundled_run(name: str):
     if name not in _cache:
-        _cache[name] = run_scenario(load_bundled(name), keep_events=keep_events)
+        _cache[name] = run_scenario(load_bundled(name))
     return _cache[name]
 
 
@@ -95,13 +95,13 @@ def test_criterion_01_reserve_safety_fuzz():
 
 
 def test_criterion_02_table1_oracle():
-    result = bundled_run("table1-oracle", keep_events=True)
+    result = bundled_run("table1-oracle")
     ok, message = checks_pass(result)
     report(2, ok, message)
 
 
 def test_criterion_03_table1_vault():
-    result = bundled_run("table1-vault", keep_events=True)
+    result = bundled_run("table1-vault")
     ok, message = checks_pass(result)
     report(3, ok, message)
 
@@ -435,8 +435,8 @@ def test_criterion_13_determinism():
     mismatches = []
     observed: dict = {"digests": {}}
     for name in bundled_scenario_names():
-        first = bundled_run(name, keep_events=(name.startswith("table1")))
-        second = run_scenario(load_bundled(name), keep_events=False)
+        first = bundled_run(name)
+        second = run_scenario(load_bundled(name))
         observed["digests"][name] = first.digest
         if first.digest != second.digest:
             mismatches.append(name)
@@ -446,7 +446,7 @@ def test_criterion_13_determinism():
     point = bench_config(dataclasses.replace(load_bundled("bench-base"), duration_ms=10_000), 1000)
     observed["digests"]["bench-base u1000 10s"] = Simulation(point).execute()
     config = dataclasses.replace(load_bundled("issuance-burst"), seed=999)
-    other_seed = run_scenario(config, keep_events=False)
+    other_seed = run_scenario(config)
     seeds_differ = other_seed.digest != observed["digests"]["issuance-burst"]
     pinned = observed == GOLDEN
     if not pinned:

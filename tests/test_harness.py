@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from ozsim.agents.compliance import APPROVED, DENIED, MANUAL_REVIEW
+from ozsim.checks import run_checks
 from ozsim.cli import main as cli_main
 from ozsim.config import ConfigError, load_bundled, load_config, bundled_scenario_names
 from ozsim.profiles import CorpusSpec, generate_profiles
@@ -121,6 +122,16 @@ class TestRunner:
         assert header == "t_ms,mid,spread_frac,bid_depth_oz,ask_depth_oz,mm_inventory_oz,tps,risk_util"
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["digest"] == result.digest
+
+    @pytest.mark.parametrize("name", ["table1-oracle", "table1-vault"])
+    def test_table1_findings_do_not_depend_on_out_dir(self, tmp_path, name):
+        plain = run_scenario(load_bundled(name))
+        written = run_scenario(load_bundled(name), out_dir=tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert plain.summary["fault_findings"], "the injected fault must be reported"
+        for key in ("halts", "fault_findings"):
+            assert plain.summary[key] == written.summary[key] == summary[key]
+        assert all(ok for _, ok, _ in run_checks(plain)), run_checks(plain)
 
 
 class TestReplay:

@@ -45,13 +45,26 @@ def test_run_until_counts_fired_events():
     assert sched.now() == 2
 
 
-def test_cancelled_events_do_not_fire():
+def test_every_fires_at_start_then_each_interval():
+    sched = Scheduler(seed=1)
+    seen = []
+    sched.every(250, 100, 2, "tick", lambda: seen.append(sched.now()))
+    sched.run_until(600)
+    assert seen == [250, 350, 450, 550]
+
+
+def test_every_runs_body_before_rescheduling():
     sched = Scheduler(seed=1)
     fired = []
-    handle = sched.schedule(100, 0, "x", lambda: fired.append("x"))
-    handle.cancel()
+
+    def body() -> None:
+        fired.append(f"tick@{sched.now()}")
+        # same (time, priority) as the next tick: queued first, so fires first
+        sched.schedule(sched.now() + 100, 2, "follow", lambda: fired.append("follow"))
+
+    sched.every(100, 100, 2, "tick", body)
     sched.run_until(200)
-    assert fired == []
+    assert fired == ["tick@100", "follow", "tick@200"]
 
 
 def test_clock_never_decreases_and_events_fire_in_order():
