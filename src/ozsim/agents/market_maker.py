@@ -13,15 +13,53 @@ cold storage (long) or recalls/mints stock (short).
 from __future__ import annotations
 
 import math
-import statistics
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice, pairwise, repeat
+from operator import mul, truediv
 from typing import Optional
 
 from ..exchange import ASK, BID, Exchange, Trade
 from ..ledger import Ledger, Receipt
 from ..sim import EventLog, Scheduler
 from ..units import MICRO, to_micro
+
+
+def _exact_stdev(xs: list[float]) -> float:
+    """Sample standard deviation of finite floats, equal to `statistics.stdev`
+    bit for bit.
+
+    Every float is an integer times a power of two, so scaling all of them by
+    2**shift, with shift set by the smallest nonzero magnitude, gives exact
+    integers v.  Their sums make the variance exactly
+    (n*sum(v*v) - sum(v)**2) / (n*(n-1) * 4**shift), the rational that
+    `statistics.stdev` builds from Fractions.  Its square root is rounded once,
+    correctly: an integer square root of at least 55 significant bits, made
+    odd when inexact (round-to-odd, as in CPython's statistics module), loses
+    nothing to the final rounding to a float.  A correctly rounded result is
+    unique, so the two agree.  NaN and infinities have no integer value and
+    raise.
+    """
+    tiny = min(filter(None, map(abs, xs)), default=0.0)
+    shift = 53 - math.frexp(tiny)[1]
+    try:
+        vs = list(map(int, map(math.ldexp, xs, repeat(shift))))
+    except OverflowError:  # magnitudes too far apart to scale within a float
+        vs = [m << (shift + 1 - d.bit_length()) for m, d in map(float.as_integer_ratio, xs)]
+    n = len(vs)
+    sx = sum(vs)
+    num = n * sum(map(mul, vs, vs)) - sx * sx
+    den = n * (n - 1)
+    # sqrt(num/den) = a * 2**q with a an integer of 55 or more bits
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    a = math.isqrt(num // den)
+    a |= a * a * den != num
+    e = q - shift
+    return float(a << e) if e >= 0 else a / (1 << -e)
 
 
 @dataclass
@@ -83,15 +121,18 @@ class MarketMakerAgent:
     # -- volatility estimate ------------------------------------------------------
 
     def realized_sigma(self) -> float:
-        if len(self._mid_history) < 3:
+        """Sample standard deviation of the one-second log returns of the
+        reference mid over the volatility window, computed exactly."""
+        prices = self._mid_history
+        if len(prices) < 3:
             return 0.0
-        prices = list(self._mid_history)
-        returns = [
-            math.log(b / a) for a, b in zip(prices, prices[1:]) if a > 0 and b > 0
-        ]
+        if min(prices) > 0:
+            returns = list(map(math.log, map(truediv, islice(prices, 1, None), prices)))
+        else:  # skip the pairs that hold a nonpositive price
+            returns = [math.log(b / a) for a, b in pairwise(prices) if a > 0 and b > 0]
         if len(returns) < 2:
             return 0.0
-        return statistics.stdev(returns)
+        return _exact_stdev(returns)
 
     def half_spread(self, sigma: float) -> float:
         cfg = self.config

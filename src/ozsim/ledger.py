@@ -8,8 +8,9 @@ becomes observable to agents a fixed commit latency after the block executes.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .sim import EventLog, Scheduler
 
@@ -92,15 +93,71 @@ class ParamStore:
         self.values[key] = value
 
 
+class PriceWindow:
+    """Posted (t_ms, price) samples of a rolling window, with their running
+    minimum and maximum price.
+
+    Two monotone deques hold the samples: the minimum deque those that no
+    later sample undercuts (prices strictly increasing), the maximum deque
+    those that no later sample reaches (prices strictly decreasing).
+    Their fronts are the window's extremes and the latest sample is the back
+    of both.  Samples must arrive in non-decreasing time order, as block times
+    do, so evicting every deque by time drops exactly the samples older than
+    the horizon.
+    """
+
+    def __init__(self, samples: Iterable[tuple[int, int]] = ()):
+        self._lo: deque[tuple[int, int]] = deque()
+        self._hi: deque[tuple[int, int]] = deque()
+        for t, p in samples:
+            self.append(t, p)
+
+    def append(self, t: int, p: int) -> None:
+        lo, hi = self._lo, self._hi
+        if lo and t < lo[-1][0]:
+            raise ValueError(f"sample at {t} ms precedes the latest at {lo[-1][0]} ms")
+        while lo and lo[-1][1] >= p:
+            lo.pop()
+        lo.append((t, p))
+        while hi and hi[-1][1] <= p:
+            hi.pop()
+        hi.append((t, p))
+
+    def evict_before(self, horizon: int) -> None:
+        for q in (self._lo, self._hi):
+            while q and q[0][0] < horizon:
+                q.popleft()
+
+    def clear(self) -> None:
+        self._lo.clear()
+        self._hi.clear()
+
+    def __bool__(self) -> bool:
+        return bool(self._lo)
+
+    @property
+    def latest(self) -> int:
+        return self._lo[-1][1]
+
+    @property
+    def min(self) -> int:
+        return self._lo[0][1]
+
+    @property
+    def max(self) -> int:
+        return self._hi[0][1]
+
+
 class Ledger:
     """Token ledger plus the two on-chain safeguards.
 
     The reserve ceiling check rejects any mint that would push total supply
     above the attested reserve plus the epsilon tolerance.  The circuit
     breaker pauses trading (transfers, mints, burns, and exchange matching)
-    when posted prices swing more than the configured threshold inside the
-    rolling window, and lifts automatically after the cooldown or earlier via
-    governance.
+    when the latest posted reference price differs from any price posted
+    inside the rolling window by more than the configured threshold; the
+    window keeps its running minimum and maximum, which decide the trip.  The
+    halt lifts automatically after the cooldown or earlier via governance.
     """
 
     def __init__(
@@ -142,7 +199,7 @@ class Ledger:
         self.accepted_tx_count = 0
         self._queue: list[Tx] = []
         self._next_tx_id = 1
-        self._price_window: list[tuple[int, int]] = []  # (t_ms, micro-USD)
+        self._price_window = PriceWindow()  # (t_ms, micro-USD) reference posts
         self._lift_listeners: list[Callable[[int], None]] = []
         self._touched: set[str] = set()
         self._supply_changed = False
@@ -336,29 +393,35 @@ class Ledger:
     def execute_post_price(self, feed: str, price: int) -> Receipt:
         if feed == self.reference_feed:
             now = self.sched.now()
-            self._price_window.append((now, price))
+            self._price_window.append(now, price)
             self.evaluate_breaker(self._price_window, now)
         return ACCEPTED
 
-    def evaluate_breaker(self, window: list[tuple[int, int]], now: int) -> bool:
+    def evaluate_breaker(self, window: PriceWindow, now: int) -> bool:
         """Trip decision over posted samples in [now - window_ms, now].
 
-        Returns True (and engages the halt) when any sample differs from the
-        latest price by more than the swing threshold.  Evaluation is skipped
-        while already tripped; the window restarts after a lift so a resolved
-        swing does not immediately re-trip.
+        Returns True (and engages the halt) when any sample p differs from the
+        latest price p_now by more than the swing threshold, i.e.
+        abs(p_now / p - 1.0) > threshold.  Evaluation is skipped while already
+        tripped; the window restarts after a lift so a resolved swing does not
+        immediately re-trip.
+
+        Only the window's minimum and maximum are compared, with the same
+        decision as a scan of every sample: for positive prices the correctly
+        rounded quotient p_now / p is monotone non-increasing in p, and
+        subtracting 1.0 is monotone, so p_now / p - 1.0 is largest at the
+        minimum price and smallest at the maximum.  If any sample exceeds the
+        threshold above (below) zero, the minimum (maximum) does too.
         """
-        horizon = now - int(self.params.get("breaker_window_ms"))
-        while window and window[0][0] < horizon:
-            window.pop(0)
+        window.evict_before(now - int(self.params.get("breaker_window_ms")))
         if self.trading_paused or not window:
             return False
-        p_now = window[-1][1]
+        p_now = window.latest
         threshold = self.params.get("breaker_swing_threshold")
-        for _, p in window:
-            if abs(p_now / p - 1.0) > threshold:
-                self.trip_breaker(now, "price swing", source="contract")
-                return True
+        if (abs(p_now / window.min - 1.0) > threshold
+                or abs(p_now / window.max - 1.0) > threshold):
+            self.trip_breaker(now, "price swing", source="contract")
+            return True
         return False
 
     def trip_breaker(self, now: int, reason: str, source: str = "risk") -> None:

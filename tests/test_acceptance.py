@@ -16,7 +16,7 @@ from ozsim.bench import bench_config, run_bench
 from ozsim.checks import run_checks
 from ozsim.config import bundled_scenario_names, load_bundled
 from ozsim.governance import Governance
-from ozsim.ledger import Ledger, ParamStore
+from ozsim.ledger import Ledger, ParamStore, PriceWindow
 from ozsim.profiles import CorpusSpec, generate_profiles
 from ozsim.runner import Simulation, run_scenario
 from ozsim.sim import EventLog, RngStream, Scheduler
@@ -360,9 +360,9 @@ def test_criterion_12_governance():
     # the executed threshold change alters a later trip decision
     window = [(0, to_micro(2400.0)), (200_000, to_micro(2460.0))]  # 2.5% swing
     sched.run_until(200_000)
-    no_trip_at_3pct = ledger.evaluate_breaker(list(window), 200_000) is False
+    no_trip_at_3pct = ledger.evaluate_breaker(PriceWindow(window), 200_000) is False
     ledger.set_param("breaker_swing_threshold", 0.02, 200_000, "test")
-    trips_at_2pct = ledger.evaluate_breaker(list(window), 200_000) is True
+    trips_at_2pct = ledger.evaluate_breaker(PriceWindow(window), 200_000) is True
 
     ok = all([ok_demo, too_early, executed, pending_after_dup, executable_at_m,
               no_trip_at_3pct, trips_at_2pct])

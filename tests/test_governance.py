@@ -1,7 +1,7 @@
 import pytest
 
 from ozsim.governance import AlreadyExecuted, Governance, NotASigner, tally
-from ozsim.ledger import Ledger
+from ozsim.ledger import Ledger, PriceWindow
 from ozsim.sim import EventLog, Scheduler
 from ozsim.units import to_micro
 
@@ -137,7 +137,7 @@ def test_threshold_change_alters_subsequent_trip_decision():
         return [(now - 200_000, to_micro(2400.0)), (now, to_micro(2460.0))]
 
     sched.run_until(200_000)
-    assert ledger.evaluate_breaker(swing_window(200_000), 200_000) is True
+    assert ledger.evaluate_breaker(PriceWindow(swing_window(200_000)), 200_000) is True
     assert ledger.trading_paused
     ledger.governance_unpause(200_000)
 
@@ -147,7 +147,7 @@ def test_threshold_change_alters_subsequent_trip_decision():
     assert gov.execute_param(prop, sched.now()) == "executed"
 
     later = 200_000 + DAY_MS
-    assert ledger.evaluate_breaker(swing_window(later), later) is False
+    assert ledger.evaluate_breaker(PriceWindow(swing_window(later)), later) is False
     assert not ledger.trading_paused
 
 

@@ -4,6 +4,7 @@ from ozsim.ledger import (
     Ledger,
     OutOfBounds,
     ParamStore,
+    PriceWindow,
     REVERT_INSUFFICIENT_BALANCE,
     REVERT_ISSUANCE_PAUSED,
     REVERT_RESERVE_CEILING,
@@ -156,20 +157,20 @@ class TestBreaker:
     def test_swing_below_threshold_no_trip(self):
         sched, ledger = make_ledger()
         window = [(0, to_micro(2400.0)), (300_000, to_micro(2446.0))]
-        assert ledger.evaluate_breaker(window, 300_000) is False
+        assert ledger.evaluate_breaker(PriceWindow(window), 300_000) is False
         assert not ledger.trading_paused
 
     def test_swing_above_threshold_trips(self):
         sched, ledger = make_ledger()
         window = [(0, to_micro(2400.0)), (300_000, to_micro(2450.0))]
-        assert ledger.evaluate_breaker(window, 300_000) is True
+        assert ledger.evaluate_breaker(PriceWindow(window), 300_000) is True
         assert ledger.trading_paused
         assert ledger.breaker_tripped_at == 300_000
 
     def test_constant_price_never_trips(self):
         sched, ledger = make_ledger()
         window = [(t * 1000, to_micro(2400.0)) for t in range(301)]
-        assert ledger.evaluate_breaker(window, 300_000) is False
+        assert ledger.evaluate_breaker(PriceWindow(window), 300_000) is False
 
     def test_auto_lift_after_cooldown(self):
         sched, ledger = make_ledger()
@@ -199,7 +200,7 @@ class TestBreaker:
         sched, ledger = make_ledger()
         # A big move 400 s ago is outside the 300 s window.
         window = [(0, to_micro(2300.0)), (350_000, to_micro(2400.0)), (400_000, to_micro(2401.0))]
-        assert ledger.evaluate_breaker(window, 400_000) is False
+        assert ledger.evaluate_breaker(PriceWindow(window), 400_000) is False
 
 
 class TestParams:
@@ -296,5 +297,56 @@ def test_property_breaker_trips_iff_swing_exceeds_threshold(window):
     now = samples[-1][0]
     p_now = window[-1]
     expected = any(abs(p_now / p - 1.0) > 0.02 for p in window)
-    assert ledger.evaluate_breaker(samples, now) == expected
+    assert ledger.evaluate_breaker(PriceWindow(samples), now) == expected
     assert ledger.trading_paused == expected
+
+
+_window_ops = st.lists(
+    st.one_of(
+        # coarse steps and windows make samples land exactly on the horizon
+        st.tuples(st.just("post"), st.sampled_from([0, 1, 1_000, 30_000, 60_000]),
+                  st.integers(min_value=to_micro(2340), max_value=to_micro(2460))),
+        st.tuples(st.just("window_ms"), st.sampled_from([60_000, 90_000, 120_000, 300_000])),
+        st.tuples(st.just("clear")),
+    ),
+    min_size=1, max_size=120,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_window_ops)
+def test_property_price_window_matches_brute_force_scan(ops):
+    sched = Scheduler(seed=3)
+    ledger = Ledger(sched, EventLog(keep=False))
+    window = PriceWindow()
+    retained: list[tuple[int, int]] = []
+    now = 0
+    for op in ops:
+        if op[0] == "post":
+            now += op[1]
+            window.append(now, op[2])
+            retained.append((now, op[2]))
+        elif op[0] == "window_ms":  # a governance change moves the horizon mid-stream
+            ledger.set_param("breaker_window_ms", op[1], now, "test")
+        else:
+            window.clear()
+            retained.clear()
+        horizon = now - ledger.params.get("breaker_window_ms")
+        retained = [(t, p) for t, p in retained if t >= horizon]
+        threshold = ledger.params.get("breaker_swing_threshold")
+        expected = bool(retained) and any(
+            abs(retained[-1][1] / p - 1.0) > threshold for _, p in retained
+        )
+        assert ledger.evaluate_breaker(window, now) == expected
+        assert bool(window) == bool(retained)
+        if retained:
+            prices = [p for _, p in retained]
+            assert (window.min, window.max, window.latest) == (min(prices), max(prices), prices[-1])
+        if expected:
+            ledger.governance_unpause(now)
+
+
+def test_price_window_rejects_samples_out_of_time_order():
+    window = PriceWindow([(1_000, to_micro(2400.0))])
+    with pytest.raises(ValueError):
+        window.append(999, to_micro(2400.0))

@@ -1,6 +1,12 @@
-import pytest
+import math
+import random
+import statistics
+import struct
 
-from ozsim.agents.market_maker import MMConfig, MarketMakerAgent
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ozsim.agents.market_maker import MMConfig, MarketMakerAgent, _exact_stdev
 from ozsim.exchange import ASK, BID
 from ozsim.units import MICRO, to_micro
 
@@ -156,3 +162,46 @@ class TestInventoryControl:
         w.mm.inventory = to_micro(50)
         w.mm.maybe_rebalance(5_000)
         assert len(w.mm.rebalance_events) == 1
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestExactStdev:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+                    min_size=2, max_size=61))
+    def test_property_bit_identical_to_statistics_stdev(self, xs):
+        assert _bits(_exact_stdev(xs)) == _bits(statistics.stdev(xs))
+
+    @pytest.mark.parametrize("xs", [
+        [1e-4, -3e-4],
+        [0.0025] * 7,
+        [-1e-3] * 60,
+        [0.0, 0.0],
+        [0.0, -0.0, 0.0],
+        [0.0, -0.0, 1e-4, -0.0],
+        [5e-324, 0.0],
+        [5e-324, -5e-324, 1e-323, 0.0],
+        [2.2250738585072014e-308, 5e-324, -1e-310],
+        [1e-300, 1e-2],
+        [1e-300, -1e-2, 3e-5, 0.0, 5e-324],
+        [1.0, -1.0, 0.5],
+    ])
+    def test_bit_identical_on_edge_cases(self, xs):
+        assert _bits(_exact_stdev(xs)) == _bits(statistics.stdev(xs))
+
+    @pytest.mark.parametrize("xs", [[0.25] * 2, [-0.0] * 5, [5e-324] * 3])
+    def test_equal_values_give_zero(self, xs):
+        assert _bits(_exact_stdev(xs)) == _bits(0.0)
+
+    def test_realized_sigma_is_stdev_of_log_returns(self, world_factory):
+        w = world_factory()
+        rng = random.Random(11)
+        prices = [2400.0]
+        for _ in range(w.mm.config.vol_window_s):
+            prices.append(round(prices[-1] * math.exp(rng.gauss(0.0, 1e-3)), 6))
+        w.mm._mid_history.extend(prices)
+        returns = [math.log(b / a) for a, b in zip(prices, prices[1:])]
+        assert _bits(w.mm.realized_sigma()) == _bits(statistics.stdev(returns))
