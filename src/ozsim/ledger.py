@@ -114,8 +114,6 @@ class PriceWindow:
 
     def append(self, t: int, p: int) -> None:
         lo, hi = self._lo, self._hi
-        if lo and t < lo[-1][0]:
-            raise ValueError(f"sample at {t} ms precedes the latest at {lo[-1][0]} ms")
         while lo and lo[-1][1] >= p:
             lo.pop()
         lo.append((t, p))

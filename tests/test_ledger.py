@@ -345,8 +345,3 @@ def test_property_price_window_matches_brute_force_scan(ops):
         if expected:
             ledger.governance_unpause(now)
 
-
-def test_price_window_rejects_samples_out_of_time_order():
-    window = PriceWindow([(1_000, to_micro(2400.0))])
-    with pytest.raises(ValueError):
-        window.append(999, to_micro(2400.0))
