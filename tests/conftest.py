@@ -29,6 +29,7 @@ class World:
         pre_trade_sigma=50.0,
         risk_config=None,
         start_mm=False,
+        order_style="market",
     ):
         self.sched = Scheduler(seed=seed)
         self.log = EventLog()
@@ -74,7 +75,9 @@ class World:
             self.sched, self.log, self.ledger, self.exchange,
             self.compliance, self.issuance, self.risk,
             self.sched.fork_rng("orchestration"),
+            oracle=self.oracle,
             pre_trade_sigma_ms=pre_trade_sigma,
+            order_style=order_style,
             on_report=self._collect_report,
         )
         self.orchestrator.register_platform("mm")

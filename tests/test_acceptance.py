@@ -207,6 +207,7 @@ def test_criterion_09_concentration():
 # -- 10. scaling shape -----------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_10_scaling_shape():
     base = load_bundled("bench-base")
     counts = [1000 * i for i in range(1, 11)]
