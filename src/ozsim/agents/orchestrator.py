@@ -10,7 +10,7 @@ workflow are reported to a single callback for metrics and closed-loop load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ..exchange import ASK, BID, Exchange, NotOnboarded, TradingHalted
 from ..ledger import Ledger
@@ -40,8 +40,7 @@ class UserState:
     holdings: int = 0  # micro-OZ economic position, fills included
 
 
-@dataclass(frozen=True)
-class WorkflowReport:
+class WorkflowReport(NamedTuple):
     kind: str
     user: str
     status: str
@@ -99,7 +98,7 @@ class Orchestrator:
         self.log_workflows = log_workflows
         self.users: dict[str, UserState] = {}
         self.platform_addresses: set[str] = set()
-        self._maker_contexts: dict[int, dict] = {}
+        self._maker_contexts: dict[int, _OrderFlow] = {}
         exchange.on_trade(self._watch_maker_fills)
 
     # -- registry -----------------------------------------------------------
@@ -193,12 +192,10 @@ class Orchestrator:
         ctx = self._maker_contexts.get(trade.maker_id)
         if ctx is None:
             return
-        user = ctx["user"]
-        if ctx["kind"] == BUY:
-            self.users[user].holdings += trade.qty
-        taker = trade.taker_owner
-        self.exchange.wait_settlement(user, taker, ctx["settled"])
-        ctx["fills"] += trade.qty
+        if ctx.kind == BUY:
+            ctx.state.holdings += trade.qty
+        self.exchange.wait_settlement(ctx.user, trade.taker_owner, ctx.settled)
+        ctx.fills += trade.qty
 
     def _limit_price(self, side: str) -> int:
         """Marketable-or-passive limit around the reference price.
@@ -222,73 +219,8 @@ class Orchestrator:
                 )
                 return
             state.holdings -= amount  # committed to the sale from here on
-        delay = self._pre_trade_delay()
-
-        def place() -> None:
-            now = self.sched.now()
-            side = BID if kind == BUY else ASK
-            mixed = self.order_style == "mixed" and self.oracle is not None
-            try:
-                if mixed:
-                    trades, resting = self.exchange.place(
-                        user, side, amount, price=self._limit_price(side), kind="limit"
-                    )
-                else:
-                    trades, resting = self.exchange.place(user, side, amount, kind="market")
-            except TradingHalted:
-                if kind == SELL:
-                    state.holdings += amount
-                self._report(WorkflowReport(kind, user, TRADING_HALTED, requested_at, now, agent_ms=delay))
-                return
-            except NotOnboarded:
-                self._report(WorkflowReport(kind, user, NOT_ONBOARDED, requested_at, now, agent_ms=delay))
-                return
-            filled = sum(t.qty for t in trades)
-            if kind == BUY:
-                state.holdings += filled
-            elif resting is None:
-                state.holdings += amount - filled  # uncommitted remainder returns
-
-            done = {"reported": False}
-
-            def complete(status: str) -> None:
-                if done["reported"]:
-                    return
-                done["reported"] = True
-                finished = self.sched.now()
-                self._report(
-                    WorkflowReport(
-                        kind, user, status, requested_at, finished,
-                        agent_ms=delay, chain_ms=max(finished - now, 0),
-                    )
-                )
-
-            def settled(_t: int) -> None:
-                complete(COMPLETED)
-
-            if filled == 0 and resting is None:
-                complete(UNFILLED)
-                return
-            for other in {t.maker_owner if t.taker_owner == user else t.taker_owner for t in trades}:
-                self.exchange.wait_settlement(user, other, settled)
-            if resting is not None:
-                ctx = {"user": user, "kind": kind, "settled": settled, "fills": 0}
-                self._maker_contexts[resting] = ctx
-
-                def expire(order_id=resting) -> None:
-                    self._maker_contexts.pop(order_id, None)
-                    cancelled = self.exchange.cancel(order_id)
-                    if kind == SELL and cancelled:
-                        # return the unsold remainder of the commitment
-                        remainder = amount - filled - ctx["fills"]
-                        if remainder > 0:
-                            state.holdings += remainder
-                    if filled == 0 and ctx["fills"] == 0:
-                        complete(UNFILLED)
-
-                self.sched.schedule_in(self.order_expiry_ms, 2, "order_expiry", expire)
-
-        self.sched.schedule_in(delay, 2, "pre_trade_check", place)
+        flow = _OrderFlow(self, kind, user, amount, requested_at, state, self._pre_trade_delay())
+        self.sched.schedule_in(flow.delay, 2, "pre_trade_check", flow.place)
 
     def _run_issue(self, user: str, amount: int, requested_at: int) -> None:
         def done(result: WorkflowResult) -> None:
@@ -326,3 +258,92 @@ class Orchestrator:
             )
 
         self.issuance.process_redeem(user, amount, done)
+
+
+class _OrderFlow:
+    """One buy or sell workflow, from the pre-trade check to its one report.
+
+    A resting limit order keeps its workflow alive until expiry, so the state
+    lives in slots and the scheduled actions and settlement callbacks are
+    bound methods: one object per order instead of a nest of closures.
+    """
+
+    __slots__ = (
+        "orch", "kind", "user", "amount", "requested_at", "state", "delay",
+        "now", "filled", "fills", "reported", "resting",
+    )
+
+    def __init__(
+        self, orch: Orchestrator, kind: str, user: str, amount: int,
+        requested_at: int, state: UserState, delay: int,
+    ):
+        self.orch = orch
+        self.kind = kind
+        self.user = user
+        self.amount = amount
+        self.requested_at = requested_at
+        self.state = state
+        self.delay = delay
+        self.fills = 0  # quantity filled while resting, by later takers
+        self.reported = False
+
+    def place(self) -> None:
+        orch = self.orch
+        kind, user, amount = self.kind, self.user, self.amount
+        self.now = orch.sched.now()
+        side = BID if kind == BUY else ASK
+        try:
+            if orch.order_style == "mixed" and orch.oracle is not None:
+                trades, resting = orch.exchange.place(
+                    user, side, amount, price=orch._limit_price(side), kind="limit"
+                )
+            else:
+                trades, resting = orch.exchange.place(user, side, amount, kind="market")
+        except TradingHalted:
+            if kind == SELL:
+                self.state.holdings += amount
+            self.complete(TRADING_HALTED)
+            return
+        except NotOnboarded:
+            self.complete(NOT_ONBOARDED)
+            return
+        self.filled = filled = sum(t.qty for t in trades)
+        self.resting = resting
+        if kind == BUY:
+            self.state.holdings += filled
+        elif resting is None:
+            self.state.holdings += amount - filled  # uncommitted remainder returns
+        if filled == 0 and resting is None:
+            self.complete(UNFILLED)
+            return
+        for other in {t.maker_owner if t.taker_owner == user else t.taker_owner for t in trades}:
+            orch.exchange.wait_settlement(user, other, self.settled)
+        if resting is not None:
+            orch._maker_contexts[resting] = self
+            orch.sched.schedule_in(orch.order_expiry_ms, 2, "order_expiry", self.expire)
+
+    def settled(self, _t: int) -> None:
+        self.complete(COMPLETED)
+
+    def expire(self) -> None:
+        orch = self.orch
+        orch._maker_contexts.pop(self.resting, None)
+        if orch.exchange.cancel(self.resting) and self.kind == SELL:
+            # return the unsold remainder of the commitment
+            remainder = self.amount - self.filled - self.fills
+            if remainder > 0:
+                self.state.holdings += remainder
+        if self.filled == 0 and self.fills == 0:
+            self.complete(UNFILLED)
+
+    def complete(self, status: str) -> None:
+        if self.reported:
+            return
+        self.reported = True
+        finished = self.orch.sched.now()
+        self.orch._report(
+            WorkflowReport(
+                self.kind, self.user, status, self.requested_at, finished,
+                agent_ms=self.delay, chain_ms=max(finished - self.now, 0),
+            )
+        )
