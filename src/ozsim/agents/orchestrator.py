@@ -161,6 +161,8 @@ class Orchestrator:
 
     def handle(self, kind: str, user: str, amount: int) -> None:
         """Entry point for load-generated actions; completion is async."""
+        if kind not in (BUY, SELL, ISSUE, REDEEM):
+            raise ValueError(f"unknown action {kind!r}")
         requested_at = self.sched.now()
         if not self.is_approved(user):
             self._report(WorkflowReport(kind, user, NOT_ONBOARDED, requested_at, requested_at))
@@ -172,10 +174,8 @@ class Orchestrator:
                 self._run_order(kind, user, amount, requested_at)
             elif kind == ISSUE:
                 self._run_issue(user, amount, requested_at)
-            elif kind == REDEEM:
-                self._run_redeem(user, amount, requested_at)
             else:
-                raise ValueError(f"unknown action {kind!r}")
+                self._run_redeem(user, amount, requested_at)
 
         if wait <= 0:
             admitted()
@@ -299,13 +299,10 @@ class _OrderFlow:
                 )
             else:
                 trades, resting = orch.exchange.place(user, side, amount, kind="market")
-        except TradingHalted:
+        except (TradingHalted, NotOnboarded) as rejected:
             if kind == SELL:
-                self.state.holdings += amount
-            self.complete(TRADING_HALTED)
-            return
-        except NotOnboarded:
-            self.complete(NOT_ONBOARDED)
+                self.state.holdings += amount  # the commitment returns
+            self.complete(TRADING_HALTED if isinstance(rejected, TradingHalted) else NOT_ONBOARDED)
             return
         self.filled = filled = sum(t.qty for t in trades)
         self.resting = resting

@@ -1,3 +1,5 @@
+import pytest
+
 from ozsim.agents.compliance import UserProfile
 from ozsim.agents.orchestrator import UserState
 from ozsim.exchange import ASK, BID
@@ -171,3 +173,31 @@ def test_halt_between_admission_and_place_returns_sell_commitment(world_factory)
     assert (report.finished_at, report.agent_ms) == (5_000 + PRE_TRADE_MS, PRE_TRADE_MS)
     assert w.orchestrator.holdings("carol") == to_micro(5)
     assert w.orchestrator._maker_contexts == {}
+
+
+def test_approval_revoked_before_place_returns_sell_commitment(world_factory):
+    w = world_factory(pre_trade_sigma=0.0, genesis_balances={"carol": 5})
+    trader(w, "carol", oz=5)
+    w.run_to(5_000)
+    w.orchestrator.handle("sell", "carol", to_micro(2))
+    assert w.orchestrator.holdings("carol") == to_micro(3)
+    w.orchestrator.users["carol"].approved = False  # the exchange now refuses this user
+    w.run_to(30_000)
+    (report,) = w.reports
+    assert report.status == "not_onboarded"
+    assert (report.finished_at, report.agent_ms) == (5_000 + PRE_TRADE_MS, PRE_TRADE_MS)
+    assert w.orchestrator.holdings("carol") == to_micro(5)
+    assert w.orchestrator._maker_contexts == {}
+
+
+def test_unknown_action_rejected_before_admission(world_factory):
+    w = world_factory()
+    trader(w, "alice", oz=5)
+    w.run_to(5_000)
+    gate = w.risk.gate
+    before = (gate._next_free_ms, list(gate._work))
+    with pytest.raises(ValueError, match="unknown action 'swap'"):
+        w.orchestrator.handle("swap", "alice", to_micro(1))
+    assert (gate._next_free_ms, list(gate._work)) == before
+    w.run_to(30_000)
+    assert w.reports == []
