@@ -263,9 +263,10 @@ class Orchestrator:
 class _OrderFlow:
     """One buy or sell workflow, from the pre-trade check to its one report.
 
-    A resting limit order keeps its workflow alive until expiry, so the state
-    lives in slots and the scheduled actions and settlement callbacks are
-    bound methods: one object per order instead of a nest of closures.
+    A resting limit order keeps its workflow alive until expiry, thousands at
+    a time under saturated load. Each workflow is therefore a single slotted
+    object whose bound methods are its scheduled actions and settlement
+    callback, which keeps the collector's live set small.
     """
 
     __slots__ = (
