@@ -198,7 +198,8 @@ class Ledger:
         self._queue: list[Tx] = []
         self._next_tx_id = 1
         self._price_window = PriceWindow()  # (t_ms, micro-USD) reference posts
-        self._lift_listeners: list[Callable[[int], None]] = []
+        # (listener, once) in registration order; a once-entry fires at one lift
+        self._lift_listeners: list[tuple[Callable[[int], None], bool]] = []
         self._touched: set[str] = set()
         self._supply_changed = False
         self._started = False
@@ -458,20 +459,19 @@ class Ledger:
         if self.halts and "lifted_at" not in self.halts[-1]:
             self.halts[-1].update(lifted_at=now, lift_reason=reason)
         self.log.append(now, "ledger", "breaker_lifted", {"reason": reason})
-        for listener in list(self._lift_listeners):
+        # A listener registered while these run lands in the new list and so
+        # waits for the next lift.
+        listeners = self._lift_listeners
+        self._lift_listeners = [entry for entry in listeners if not entry[1]]
+        for listener, _ in listeners:
             listener(now)
 
     def on_breaker_lift(self, listener: Callable[[int], None]) -> None:
-        self._lift_listeners.append(listener)
+        self._lift_listeners.append((listener, False))
 
     def once_breaker_lift(self, listener: Callable[[int], None]) -> None:
         """Invoke listener at the next lift only (used for tx retries)."""
-
-        def wrapper(now: int) -> None:
-            self._lift_listeners.remove(wrapper)
-            listener(now)
-
-        self._lift_listeners.append(wrapper)
+        self._lift_listeners.append((listener, True))
 
     # -- risk controls ---------------------------------------------------------
 

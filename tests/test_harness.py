@@ -1,15 +1,18 @@
+import dataclasses
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
 from ozsim.agents.compliance import APPROVED, DENIED, MANUAL_REVIEW
+from ozsim.bench import bench_config
 from ozsim.checks import run_checks
 from ozsim.cli import main as cli_main
 from ozsim.config import ConfigError, load_bundled, load_config, bundled_scenario_names
 from ozsim.profiles import CorpusSpec, generate_profiles
 from ozsim.replay import diff_logs, replay
-from ozsim.runner import run_scenario
+from ozsim.runner import Simulation, run_scenario
 from ozsim.sim import RngStream
 
 MINIMAL = {"name": "t", "seed": 1, "duration_ms": 10_000}
@@ -132,6 +135,35 @@ class TestRunner:
         for key in ("halts", "fault_findings"):
             assert plain.summary[key] == written.summary[key] == summary[key]
         assert all(ok for _, ok, _ in run_checks(plain)), run_checks(plain)
+
+
+def no_garbage_config(name):
+    config = load_bundled(name)
+    if name == "baseline-24h":
+        return dataclasses.replace(config, duration_ms=2 * 3_600_000)
+    if name == "bench-base":
+        # the pinned GOLDEN point of test_criterion_13_determinism
+        return bench_config(dataclasses.replace(config, duration_ms=10_000), 1000)
+    return config
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_run_leaves_no_cyclic_garbage(name):
+    """Reference counting alone frees what a run discards.
+
+    Scheduler.run_until raises the gen-0 threshold on that assumption, so a
+    cycle made per event would pile up between collections.
+    """
+    sim = Simulation(no_garbage_config(name))
+    gc.collect()
+    gc.disable()
+    try:
+        sim.execute()
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0, f"{name} left {unreachable} objects in reference cycles"
+    assert sim.log.count > 0
 
 
 class TestReplay:

@@ -196,6 +196,27 @@ class TestBreaker:
         ledger.governance_unpause(200_000)
         assert not ledger.trading_paused
 
+    def test_lift_listeners_fire_in_order_and_once_entries_fire_once(self):
+        sched, ledger = make_ledger()
+        calls = []
+
+        def once_b(now):
+            calls.append(("b", now))
+            # registered mid-lift: waits for the next lift
+            ledger.once_breaker_lift(lambda t: calls.append(("d", t)))
+
+        ledger.on_breaker_lift(lambda t: calls.append(("a", t)))
+        ledger.once_breaker_lift(once_b)
+        ledger.on_breaker_lift(lambda t: calls.append(("c", t)))
+        for now in (10, 20, 30):
+            ledger.trip_breaker(now - 5, "test")
+            ledger.governance_unpause(now)
+        assert calls == [
+            ("a", 10), ("b", 10), ("c", 10),
+            ("a", 20), ("c", 20), ("d", 20),
+            ("a", 30), ("c", 30),
+        ]
+
     def test_old_samples_fall_out_of_window(self):
         sched, ledger = make_ledger()
         # A big move 400 s ago is outside the 300 s window.
