@@ -8,11 +8,25 @@ the same seed therefore reproduces the exact event sequence.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import heapq
 import json
 import random
 from typing import IO, Any, Callable, Optional
+
+
+# Gen-0 collection threshold while run_until() dispatches events.  A run frees
+# everything it discards by reference counting (test_run_leaves_no_cyclic_garbage
+# in tests/test_harness.py checks every bundled scenario), so collections at
+# the default threshold of 700 free nothing.  On one 8k-user, 8 s bench-base
+# point the whole run went from 595/54/4 collections (gen 0/1/2), 1.2-1.4 s of
+# pauses and 5.2-5.7 s of wall time to 76/6/0, 0.2 s and 3.9-4.2 s; on a
+# 10k-user, 60 s point, from 15.6 s of pauses and 49.4 s of wall time to 0.8 s
+# and 32.1 s.  Peak RSS stayed within 0.5 MB (Python 3.11.7, shared 2-vCPU
+# x86-64 VM).  Unlike gc.disable(), a threshold still bounds cyclic garbage if
+# a later change starts making it.
+RUN_GEN0_THRESHOLD = 100_000
 
 
 class PastTime(Exception):
@@ -91,15 +105,24 @@ class Scheduler:
         self.schedule(start, priority, kind, fire)
 
     def run_until(self, end: int) -> int:
-        """Process every event with fire_at <= end; leaves now() == end."""
+        """Process every event with fire_at <= end; leaves now() == end.
+
+        The collector's gen-0 threshold is RUN_GEN0_THRESHOLD while events
+        fire; the caller's thresholds are restored on return or raise.
+        """
         if end < self._now:
             raise PastTime(f"cannot run backwards to t={end} (now={self._now})")
         fired = 0
-        while self._heap and self._heap[0][0] <= end:
-            fire_at, _, _, action = heapq.heappop(self._heap)
-            self._now = fire_at
-            action()
-            fired += 1
+        thresholds = gc.get_threshold()
+        gc.set_threshold(RUN_GEN0_THRESHOLD, *thresholds[1:])
+        try:
+            while self._heap and self._heap[0][0] <= end:
+                fire_at, _, _, action = heapq.heappop(self._heap)
+                self._now = fire_at
+                action()
+                fired += 1
+        finally:
+            gc.set_threshold(*thresholds)
         self._now = end
         return fired
 

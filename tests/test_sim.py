@@ -1,8 +1,9 @@
+import gc
 import io
 
 import pytest
 
-from ozsim.sim import EventLog, PastTime, RngStream, Scheduler
+from ozsim.sim import RUN_GEN0_THRESHOLD, EventLog, PastTime, RngStream, Scheduler
 
 
 def test_priority_orders_events_at_equal_time():
@@ -43,6 +44,38 @@ def test_run_until_counts_fired_events():
         sched.schedule(t, 2, "e", lambda: None)
     assert sched.run_until(2) == 2
     assert sched.now() == 2
+
+
+@pytest.fixture
+def caller_thresholds():
+    saved = gc.get_threshold()
+    caller = (123, 7, 9)
+    gc.set_threshold(*caller)
+    try:
+        yield caller
+    finally:
+        gc.set_threshold(*saved)
+
+
+def test_run_until_raises_gen0_threshold_and_restores_callers(caller_thresholds):
+    sched = Scheduler(seed=1)
+    seen = []
+    sched.schedule(10, 0, "probe", lambda: seen.append(gc.get_threshold()))
+    sched.run_until(10)
+    assert seen == [(RUN_GEN0_THRESHOLD, 7, 9)]
+    assert gc.get_threshold() == caller_thresholds
+
+
+def test_run_until_restores_callers_thresholds_when_an_action_raises(caller_thresholds):
+    sched = Scheduler(seed=1)
+
+    def boom() -> None:
+        raise RuntimeError("boom")
+
+    sched.schedule(10, 0, "boom", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        sched.run_until(10)
+    assert gc.get_threshold() == caller_thresholds
 
 
 def test_every_fires_at_start_then_each_interval():
