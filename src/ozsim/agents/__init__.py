@@ -1,7 +1,7 @@
 from .compliance import ComplianceAgent, ComplianceDecision, UserProfile
 from .issuance import IssuanceAgent
-from .market_maker import MarketMakerAgent, MMConfig
-from .risk import AdmissionGate, RiskAgent, RiskAlert, RiskConfig
+from .market_maker import MarketMakerAgent
+from .risk import AdmissionGate, RiskAgent, RiskAlert
 from .orchestrator import Orchestrator
 
 __all__ = [
@@ -9,11 +9,9 @@ __all__ = [
     "ComplianceAgent",
     "ComplianceDecision",
     "IssuanceAgent",
-    "MMConfig",
     "MarketMakerAgent",
     "Orchestrator",
     "RiskAgent",
     "RiskAlert",
-    "RiskConfig",
     "UserProfile",
 ]

@@ -12,11 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..config import ComplianceSpec
 from ..sim import RngStream
 
 APPROVED = "approved"
 MANUAL_REVIEW = "manual_review"
 DENIED = "denied"
+
+# Calibrated processing delays: automatic screening, then staff review.
+AUTO_MEAN_MS = 168_000
+AUTO_SIGMA_MS = 30_000
+AUTO_MIN_MS = 60_000
+REVIEW_MIN_MS = 600_000
+REVIEW_MAX_MS = 7_200_000
 
 
 @dataclass(frozen=True)
@@ -47,41 +55,23 @@ class ComplianceDecision:
 class ComplianceAgent:
     """Rule-based screening tuned to err toward manual review."""
 
-    def __init__(
-        self,
-        disallowed_regions: Optional[set[str]] = None,
-        confidence_threshold: float = 0.90,
-        auto_mean_ms: int = 168_000,
-        auto_sigma_ms: int = 30_000,
-        auto_min_ms: int = 60_000,
-        review_min_ms: int = 600_000,
-        review_max_ms: int = 7_200_000,
-    ):
-        self.disallowed_regions = disallowed_regions or set()
-        self.confidence_threshold = confidence_threshold
-        self.auto_mean_ms = auto_mean_ms
-        self.auto_sigma_ms = auto_sigma_ms
-        self.auto_min_ms = auto_min_ms
-        self.review_min_ms = review_min_ms
-        self.review_max_ms = review_max_ms
+    def __init__(self, config: ComplianceSpec):
+        self.config = config
         self.decisions: dict[str, ComplianceDecision] = {}
-
-    def _processing_delay(self, rng: RngStream) -> int:
-        return max(self.auto_min_ms, round(rng.gauss(self.auto_mean_ms, self.auto_sigma_ms)))
 
     def screen(self, profile: UserProfile, now: int, rng: RngStream) -> ComplianceDecision:
         if profile.user_id in self.decisions:
             raise ValueError(f"{profile.user_id} already screened")
-        delay = self._processing_delay(rng)
+        delay = max(AUTO_MIN_MS, round(rng.gauss(AUTO_MEAN_MS, AUTO_SIGMA_MS)))
         decided_at = now + delay
         if profile.sanctions_match:
             decision = ComplianceDecision(DENIED, decided_at, delay, reason="sanctions list match")
-        elif profile.region in self.disallowed_regions:
+        elif profile.region in self.config.disallowed_regions:
             decision = ComplianceDecision(DENIED, decided_at, delay, reason="region not permitted")
         elif not profile.docs_valid:
             decision = ComplianceDecision(DENIED, decided_at, delay, reason="document verification failed")
-        elif profile.face_match_confidence < self.confidence_threshold:
-            review_delay = round(rng.uniform(self.review_min_ms, self.review_max_ms))
+        elif profile.face_match_confidence < self.config.confidence_threshold:
+            review_delay = round(rng.uniform(REVIEW_MIN_MS, REVIEW_MAX_MS))
             decision = ComplianceDecision(
                 MANUAL_REVIEW,
                 decided_at,

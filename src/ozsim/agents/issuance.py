@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..config import IssuanceSpec
 from ..ledger import (
     Ledger,
     Receipt,
@@ -28,6 +29,8 @@ INSUFFICIENT_VAULT = "insufficient_vault_inventory"
 INSUFFICIENT_BALANCE = "insufficient_balance"
 COMPLIANCE_BLOCKED = "compliance_blocked"
 REVERTED = "reverted"
+
+ISSUER_ADDRESS = "issuance"  # signs every mint
 
 
 @dataclass(frozen=True)
@@ -57,9 +60,7 @@ class IssuanceAgent:
         rng: RngStream,
         is_approved: Callable[[str], bool],
         is_frozen: Callable[[], bool],
-        processing_mean_ms: float = 400.0,
-        processing_sigma_ms: float = 50.0,
-        processing_min_ms: int = 100,
+        config: IssuanceSpec,
     ):
         self.sched = sched
         self.log = log
@@ -68,15 +69,14 @@ class IssuanceAgent:
         self.rng = rng
         self.is_approved = is_approved
         self.is_frozen = is_frozen
-        self.processing_mean_ms = processing_mean_ms
-        self.processing_sigma_ms = processing_sigma_ms
-        self.processing_min_ms = processing_min_ms
+        self.config = config
 
     def _processing_delay(self) -> int:
-        if self.processing_sigma_ms <= 0:
-            return max(self.processing_min_ms, round(self.processing_mean_ms))
-        draw = self.rng.gauss(self.processing_mean_ms, self.processing_sigma_ms)
-        return max(self.processing_min_ms, round(draw))
+        cfg = self.config
+        if cfg.processing_sigma_ms <= 0:
+            return max(cfg.processing_min_ms, round(cfg.processing_mean_ms))
+        draw = self.rng.gauss(cfg.processing_mean_ms, cfg.processing_sigma_ms)
+        return max(cfg.processing_min_ms, round(draw))
 
     # -- issuance ---------------------------------------------------------
 
@@ -136,7 +136,7 @@ class IssuanceAgent:
             done(WorkflowResult(REVERTED, requested_at, now, agent_ms=agent_ms))
 
         self.ledger.submit_tx(
-            "mint", "issuance", {"to": user, "amount": amount}, on_receipt=on_receipt
+            "mint", ISSUER_ADDRESS, {"to": user, "amount": amount}, on_receipt=on_receipt
         )
 
     # -- redemption ----------------------------------------------------------

@@ -14,15 +14,18 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import pairwise, repeat
 from operator import mul
-from typing import Optional
 
+from ..config import MMSpec
 from ..exchange import ASK, BID, Exchange, Trade
 from ..ledger import Ledger, Receipt
 from ..sim import EventLog, Scheduler
 from ..units import MICRO, to_micro
+from .issuance import IssuanceAgent
+
+MM_ADDRESS = "mm"
+COLD_ADDRESS = "mm-cold"
 
 
 def _exact_stdev(xs: list[float]) -> float:
@@ -63,21 +66,6 @@ def _exact_stdev(xs: list[float]) -> float:
     return float(a << e) if e >= 0 else a / (1 << -e)
 
 
-@dataclass
-class MMConfig:
-    base_half_spread: float = 0.001
-    vol_coeff: float = 4.0
-    half_spread_cap: float = 0.005
-    ladder_offsets: tuple[float, ...] = (0.0010, 0.0030, 0.0060, 0.0095)
-    level_qty_oz: float = 60.0
-    inv_limit_oz: float = 100.0
-    rebalance_threshold_oz: float = 50.0
-    skew_coeff: float = 0.001
-    vol_window_s: int = 60
-    address: str = "mm"
-    cold_address: str = "mm-cold"
-
-
 class MarketMakerAgent:
     def __init__(
         self,
@@ -86,9 +74,8 @@ class MarketMakerAgent:
         ledger: Ledger,
         exchange: Exchange,
         oracle,
-        issuance=None,  # used to mint restock when cold storage runs dry
-        config: Optional[MMConfig] = None,
-        baseline_oz: float = 300.0,
+        issuance: IssuanceAgent,  # mints restock when cold storage runs dry
+        config: MMSpec,
     ):
         self.sched = sched
         self.log = log
@@ -96,8 +83,8 @@ class MarketMakerAgent:
         self.exchange = exchange
         self.oracle = oracle
         self.issuance = issuance
-        self.config = config or MMConfig()
-        self.baseline = to_micro(baseline_oz)
+        self.config = config
+        self.baseline = to_micro(config.baseline_oz)
         self.inventory = 0  # micro-OZ relative to the neutral baseline
         self.current_half_spread = self.config.base_half_spread
         self._mid_history: deque[float] = deque(maxlen=self.config.vol_window_s + 1)
@@ -109,10 +96,9 @@ class MarketMakerAgent:
     # -- inventory tracking -------------------------------------------------------
 
     def _on_trade(self, trade: Trade) -> None:
-        cfg = self.config
-        if trade.maker_owner == cfg.address:
+        if trade.maker_owner == MM_ADDRESS:
             self.inventory += trade.qty if trade.taker_side == ASK else -trade.qty
-        elif trade.taker_owner == cfg.address:
+        elif trade.taker_owner == MM_ADDRESS:
             self.inventory += trade.qty if trade.taker_side == BID else -trade.qty
 
     @property
@@ -171,12 +157,12 @@ class MarketMakerAgent:
             distance = max(h, offset)
             if quote_bids:
                 price = round(anchor * (1.0 - distance))
-                _, order_id = self.exchange.place(cfg.address, BID, level_qty, price)
+                _, order_id = self.exchange.place(MM_ADDRESS, BID, level_qty, price)
                 if order_id is not None:
                     self._live_orders.append(order_id)
             if quote_asks and ask_budget >= level_qty:
                 price = round(anchor * (1.0 + distance))
-                _, order_id = self.exchange.place(cfg.address, ASK, level_qty, price)
+                _, order_id = self.exchange.place(MM_ADDRESS, ASK, level_qty, price)
                 if order_id is not None:
                     self._live_orders.append(order_id)
                 ask_budget -= level_qty
@@ -195,7 +181,6 @@ class MarketMakerAgent:
             self._restock(-self.inventory, now)
 
     def _push_to_cold(self, amount: int, now: int) -> None:
-        cfg = self.config
         self._rebalance_pending = True
         self.inventory -= amount
 
@@ -210,14 +195,13 @@ class MarketMakerAgent:
                 )
 
         self.ledger.submit_tx(
-            "transfer", cfg.address,
-            {"from": cfg.address, "to": cfg.cold_address, "amount": amount},
+            "transfer", MM_ADDRESS,
+            {"from": MM_ADDRESS, "to": COLD_ADDRESS, "amount": amount},
             on_receipt=on_receipt,
         )
 
     def _restock(self, amount: int, now: int) -> None:
-        cfg = self.config
-        from_cold = min(amount, self.ledger.balance(cfg.cold_address))
+        from_cold = min(amount, self.ledger.balance(COLD_ADDRESS))
         minted = amount - from_cold
         self._rebalance_pending = True
         self.inventory += amount
@@ -237,19 +221,11 @@ class MarketMakerAgent:
 
         if from_cold:
             self.ledger.submit_tx(
-                "transfer", cfg.cold_address,
-                {"from": cfg.cold_address, "to": cfg.address, "amount": from_cold},
+                "transfer", COLD_ADDRESS,
+                {"from": COLD_ADDRESS, "to": MM_ADDRESS, "amount": from_cold},
                 on_receipt=lambda r: finish(r.accepted, from_cold),
             )
         if minted:
-            if self.issuance is not None:
-                self.issuance.process_issue(
-                    cfg.address, minted, lambda res: finish(res.ok, minted)
-                )
-            else:
-                self.ledger.submit_tx(
-                    "mint", "issuance", {"to": cfg.address, "amount": minted},
-                    on_receipt=lambda r: finish(r.accepted, minted),
-                )
+            self.issuance.process_issue(MM_ADDRESS, minted, lambda res: finish(res.ok, minted))
         if outstanding["n"] == 0:
             self._rebalance_pending = False

@@ -31,6 +31,8 @@ NOT_ONBOARDED = "not_onboarded"
 TRADING_HALTED = "trading_halted"
 INSUFFICIENT_HOLDINGS = "insufficient_holdings"
 
+PRE_TRADE_MIN_MS = 50  # floor of the pre-trade screening delay
+
 
 @dataclass
 class UserState:
@@ -72,7 +74,6 @@ class Orchestrator:
         oracle=None,
         pre_trade_mean_ms: float = 275.0,
         pre_trade_sigma_ms: float = 50.0,
-        pre_trade_min_ms: int = 50,
         order_style: str = "market",  # market | mixed (limit flow around mid)
         order_expiry_ms: int = 5000,
         limit_offset_bps: tuple[float, float] = (-10.0, 20.0),
@@ -90,7 +91,6 @@ class Orchestrator:
         self.oracle = oracle
         self.pre_trade_mean_ms = pre_trade_mean_ms
         self.pre_trade_sigma_ms = pre_trade_sigma_ms
-        self.pre_trade_min_ms = pre_trade_min_ms
         self.order_style = order_style
         self.order_expiry_ms = order_expiry_ms
         self.limit_offset_bps = limit_offset_bps
@@ -184,9 +184,9 @@ class Orchestrator:
 
     def _pre_trade_delay(self) -> int:
         if self.pre_trade_sigma_ms <= 0:
-            return max(self.pre_trade_min_ms, round(self.pre_trade_mean_ms))
+            return max(PRE_TRADE_MIN_MS, round(self.pre_trade_mean_ms))
         draw = self.rng.gauss(self.pre_trade_mean_ms, self.pre_trade_sigma_ms)
-        return max(self.pre_trade_min_ms, round(draw))
+        return max(PRE_TRADE_MIN_MS, round(draw))
 
     def _watch_maker_fills(self, trade) -> None:
         ctx = self._maker_contexts.get(trade.maker_id)

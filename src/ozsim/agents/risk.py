@@ -15,9 +15,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..config import RiskSpec
 from ..ledger import Ledger
 from ..oracle import OracleHub, PRIMARY, SECONDARY
 from ..sim import EventLog, Scheduler
+from .issuance import ISSUER_ADDRESS
+from .market_maker import COLD_ADDRESS, MM_ADDRESS
 
 ORACLE_STALE = "OracleStale"
 ORACLE_DIVERGED = "OracleDiverged"
@@ -25,18 +28,8 @@ RESERVE_SHORTFALL = "ReserveShortfall"
 CONCENTRATION = "Concentration"
 GOVERNANCE_OOB = "GovernanceOutOfBounds"
 
-
-@dataclass
-class RiskConfig:
-    cycle_ms: int = 1000
-    phase_ms: int = 500
-    staleness_threshold_ms: int = 10_000
-    divergence_threshold: float = 0.005
-    concentration_limit: float = 0.20
-    service_rate: float = 6400.0  # monitored events per second
-    admission_headroom: float = 0.85  # capacity share usable by the workload
-    base_monitor_events: float = 4.0  # feeds, reserve, sweeps per cycle
-    exempt_addresses: frozenset[str] = frozenset()
+# Platform accounts whose holdings are operational, not a holder's stake.
+EXEMPT_ADDRESSES = frozenset({MM_ADDRESS, COLD_ADDRESS, ISSUER_ADDRESS})
 
 
 @dataclass
@@ -95,15 +88,15 @@ class RiskAgent:
         sched: Scheduler,
         log: EventLog,
         ledger: Ledger,
+        config: RiskSpec,
         oracle: Optional[OracleHub] = None,
-        config: Optional[RiskConfig] = None,
         governance=None,
     ):
         self.sched = sched
         self.log = log
         self.ledger = ledger
         self.oracle = oracle
-        self.config = config or RiskConfig()
+        self.config = config
         self.governance = governance
         self.agent_versions: dict[str, str] = {}
         self.gate = AdmissionGate(self.config.service_rate, self.config.admission_headroom)
@@ -210,7 +203,7 @@ class RiskAgent:
         raised = []
         limit = self.config.concentration_limit
         for addr in candidates:
-            if addr in self.config.exempt_addresses:
+            if addr in EXEMPT_ADDRESSES:
                 continue
             share = self.ledger.balance(addr) / supply
             flagged = self.flagged_holders.get(addr)

@@ -60,6 +60,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         config = resolve_scenario(args.scenario)
         counts = [int(x) for x in args.users.split(",") if x]
+        if counts != sorted(counts):
+            raise ValueError("user counts must be ascending")
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,6 +13,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Optional
 
+from .oracle import PRIMARY, SECONDARY
+
 
 class ConfigError(Exception):
     def __init__(self, messages: list[str]):
@@ -63,9 +65,9 @@ class RiskSpec:
     staleness_threshold_ms: int = 10_000
     divergence_threshold: float = 0.005
     concentration_limit: float = 0.20
-    service_rate: float = 6400.0
-    admission_headroom: float = 0.85
-    base_monitor_events: float = 4.0
+    service_rate: float = 6400.0  # monitored events per second
+    admission_headroom: float = 0.85  # capacity share usable by the workload
+    base_monitor_events: float = 4.0  # feeds, reserve, sweeps per cycle
 
 
 @dataclass
@@ -160,6 +162,8 @@ _NESTED = {
     "issue_burst": BurstSpec,
 }
 
+_FAULT_KINDS = {"oracle": ("stuck", "spoofed"), "vault": ("misreport",)}
+
 _NESTED_LISTS = {
     "regimes": RegimeSpec,
     "fault_schedule": FaultSpec,
@@ -192,7 +196,10 @@ def _build(cls, data: Any, path: str, errors: list[str]):
         if key not in fields:
             errors.append(f"{path}.{key}: unknown key")
             continue
-        if key in _NESTED and isinstance(value, dict):
+        if key in _NESTED:
+            if value is None and fields[key].default is None:
+                kwargs[key] = None  # an optional spec left out
+                continue
             built = _build(_NESTED[key], value, f"{path}.{key}", errors)
             if built is not None:
                 kwargs[key] = built
@@ -261,8 +268,15 @@ def load_config(data: dict) -> ScenarioConfig:
         for i, fault in enumerate(config.fault_schedule):
             if fault.start_ms + fault.duration_ms > config.duration_ms:
                 errors.append(f"scenario.fault_schedule[{i}]: extends past scenario end")
-            if fault.target not in ("oracle", "vault"):
+            kinds = _FAULT_KINDS.get(fault.target)
+            if kinds is None:
                 errors.append(f"scenario.fault_schedule[{i}].target: {fault.target!r}")
+            elif fault.kind not in kinds:
+                errors.append(f"scenario.fault_schedule[{i}].kind: "
+                              f"{fault.kind!r} is not {'|'.join(kinds)}")
+            if fault.feed not in (PRIMARY, SECONDARY):
+                errors.append(f"scenario.fault_schedule[{i}].feed: {fault.feed!r} "
+                              f"is not {PRIMARY}|{SECONDARY}")
     if errors:
         raise ConfigError(errors)
     return config

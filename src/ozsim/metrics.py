@@ -47,8 +47,7 @@ def _percentile(sorted_values: list, q: float) -> float:
 
 
 class MetricsCollector:
-    def __init__(self, sched, exchange=None, mm=None, ledger=None, risk=None,
-                 oracle=None, sample_interval_ms: int = 1000):
+    def __init__(self, sched, exchange, mm, ledger, risk, oracle, sample_interval_ms: int):
         self.sched = sched
         self.exchange = exchange
         self.mm = mm
@@ -61,8 +60,7 @@ class MetricsCollector:
         self.trades_during_halt = 0
         self._last_tx_count = 0
         self._last_sample_ms = 0
-        if exchange is not None and ledger is not None:
-            exchange.on_trade(self._watch_trade)
+        exchange.on_trade(self._watch_trade)
 
     def _watch_trade(self, trade) -> None:
         if self.ledger.trading_paused:
@@ -80,43 +78,36 @@ class MetricsCollector:
     def sample(self, now: int) -> Sample:
         elapsed = now - self._last_sample_ms or self.sample_interval_ms
         mid = spread = bid_depth = ask_depth = None
-        halted = bool(self.ledger.trading_paused) if self.ledger else False
-        if self.exchange is not None:
-            book = self.exchange.book
-            raw_mid = book.mid()
-            if raw_mid is not None:
-                mid = raw_mid / MICRO
-                spread = (book.best_ask() - book.best_bid()) / raw_mid
-                b, a = book.depth_within(0.01)
-                bid_depth = from_micro(b)
-                ask_depth = from_micro(a)
-            else:
-                best_bid, best_ask = book.best_bid(), book.best_ask()
-                if best_bid is not None:
-                    bid_depth = from_micro(book.depth_one_sided("bid"))
-                if best_ask is not None:
-                    ask_depth = from_micro(book.depth_one_sided("ask"))
-        tx_count = self.ledger.accepted_tx_count if self.ledger else 0
+        book = self.exchange.book
+        raw_mid = book.mid()
+        if raw_mid is not None:
+            mid = raw_mid / MICRO
+            spread = (book.best_ask() - book.best_bid()) / raw_mid
+            b, a = book.depth_within(0.01)
+            bid_depth = from_micro(b)
+            ask_depth = from_micro(a)
+        else:
+            best_bid, best_ask = book.best_bid(), book.best_ask()
+            if best_bid is not None:
+                bid_depth = from_micro(book.depth_one_sided("bid"))
+            if best_ask is not None:
+                ask_depth = from_micro(book.depth_one_sided("ask"))
+        tx_count = self.ledger.accepted_tx_count
         tps = (tx_count - self._last_tx_count) * 1000.0 / elapsed
         self._last_tx_count = tx_count
-        util = (
-            self.risk.gate.utilization_since_last_sample(now, elapsed)
-            if self.risk is not None
-            else 0.0
-        )
         sample = Sample(
             t_ms=now,
             mid=mid,
             spread_frac=spread,
             bid_depth_oz=bid_depth,
             ask_depth_oz=ask_depth,
-            mm_inventory_oz=from_micro(self.mm.inventory) if self.mm else 0.0,
+            mm_inventory_oz=from_micro(self.mm.inventory),
             tps=tps,
-            risk_util=util,
-            halted=halted,
-            sigma=self.oracle.process.sigma_at(now) if self.oracle else 0.0,
-            half_spread=self.mm.current_half_spread if self.mm else 0.0,
-            ref_price=self.oracle.reference_price() / MICRO if self.oracle else None,
+            risk_util=self.risk.gate.utilization_since_last_sample(now, elapsed),
+            halted=bool(self.ledger.trading_paused),
+            sigma=self.oracle.process.sigma_at(now),
+            half_spread=self.mm.current_half_spread,
+            ref_price=self.oracle.reference_price() / MICRO,
         )
         self.samples.append(sample)
         self._last_sample_ms = now
@@ -202,16 +193,22 @@ class MetricsCollector:
 
     def inventory_stats(self) -> dict:
         values = [abs(s.mm_inventory_oz) for s in self.samples]
-        return {"max_abs_oz": max(values) if values else 0.0}
+        return {
+            "max_abs_oz": max(values) if values else 0.0,
+            "rebalances": [
+                {"t_ms": t, "inventory_oz": from_micro(inv)}
+                for t, inv in self.mm.rebalance_events
+            ],
+        }
 
-    def summary(self, config=None, digest: str = "", alerts=None, halts=None,
-                fault_findings=None, extra=None) -> dict:
+    def summary(self, config, digest: str, alerts: list, halts: list,
+                fault_findings: list, extra: dict) -> dict:
         tps_values = [s.tps for s in self.samples]
         util_values = [s.risk_util for s in self.samples]
-        result = {
-            "scenario": config.name if config else "",
-            "seed": config.seed if config else 0,
-            "duration_ms": config.duration_ms if config else 0,
+        return {
+            "scenario": config.name,
+            "seed": config.seed,
+            "duration_ms": config.duration_ms,
             "digest": digest,
             "samples": len(self.samples),
             "tps": {
@@ -223,27 +220,20 @@ class MetricsCollector:
                 "max": max(util_values) if util_values else 0.0,
             },
             "latency_ms": self.latency_stats(),
-            "spread_by_regime": self.spread_stats(config.price.regimes) if config else [],
+            "spread_by_regime": self.spread_stats(config.price.regimes),
             "depth": self.depth_stats(),
             "peg": self.peg_stats(),
             "inventory": self.inventory_stats(),
             "trades": {
-                "count": self.exchange.trade_count if self.exchange else 0,
-                "volume_oz": from_micro(self.exchange.traded_micro_oz) if self.exchange else 0.0,
+                "count": self.exchange.trade_count,
+                "volume_oz": from_micro(self.exchange.traded_micro_oz),
                 "during_halt": self.trades_during_halt,
             },
-            "alerts": alerts or [],
-            "halts": halts or [],
-            "fault_findings": fault_findings or [],
+            "alerts": alerts,
+            "halts": halts,
+            "fault_findings": fault_findings,
+            **extra,
         }
-        if self.mm is not None:
-            result["inventory"]["rebalances"] = [
-                {"t_ms": t, "inventory_oz": from_micro(inv)}
-                for t, inv in self.mm.rebalance_events
-            ]
-        if extra:
-            result.update(extra)
-        return result
 
     # -- output files -------------------------------------------------------------
 

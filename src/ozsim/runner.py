@@ -13,10 +13,10 @@ from pathlib import Path
 from typing import Optional
 
 from .agents.compliance import ComplianceAgent
-from .agents.issuance import IssuanceAgent
-from .agents.market_maker import MMConfig, MarketMakerAgent
+from .agents.issuance import ISSUER_ADDRESS, IssuanceAgent
+from .agents.market_maker import COLD_ADDRESS, MM_ADDRESS, MarketMakerAgent
 from .agents.orchestrator import BUY, ISSUE, Orchestrator, REDEEM, SELL, UserState
-from .agents.risk import RiskAgent, RiskConfig
+from .agents.risk import RiskAgent
 from .config import ScenarioConfig
 from .exchange import Exchange
 from .governance import Governance
@@ -29,9 +29,6 @@ from .units import from_micro, to_micro
 from .vault import Vault
 
 AUDITOR = "auditor-1"
-MM_ADDRESS = "mm"
-COLD_ADDRESS = "mm-cold"
-ISSUER_ADDRESS = "issuance"
 
 
 @dataclass
@@ -167,25 +164,11 @@ class Simulation:
             settle_interval_ms=config.block_interval_ms,
             log_trades=config.log_trades,
         )
-        self.compliance = ComplianceAgent(
-            disallowed_regions=set(config.compliance.disallowed_regions),
-            confidence_threshold=config.compliance.confidence_threshold,
-        )
-        risk_cfg = RiskConfig(
-            cycle_ms=config.risk.cycle_ms,
-            phase_ms=config.risk.phase_ms,
-            staleness_threshold_ms=config.risk.staleness_threshold_ms,
-            divergence_threshold=config.risk.divergence_threshold,
-            concentration_limit=config.risk.concentration_limit,
-            service_rate=config.risk.service_rate,
-            admission_headroom=config.risk.admission_headroom,
-            base_monitor_events=config.risk.base_monitor_events,
-            exempt_addresses=frozenset({MM_ADDRESS, COLD_ADDRESS, ISSUER_ADDRESS}),
-        )
+        self.compliance = ComplianceAgent(config.compliance)
         self.governance = Governance(self.ledger, alert_sink=None)
         self.risk = RiskAgent(
-            self.sched, self.log, self.ledger,
-            oracle=self.oracle, config=risk_cfg, governance=self.governance,
+            self.sched, self.log, self.ledger, config.risk,
+            oracle=self.oracle, governance=self.governance,
         )
         self.governance.alert_sink = self.risk.governance_alert
         self.issuance = IssuanceAgent(
@@ -193,31 +176,15 @@ class Simulation:
             self.sched.fork_rng("agent-delays"),
             is_approved=lambda addr: self.orchestrator.is_approved(addr),
             is_frozen=lambda: self.risk.issuance_frozen,
-            processing_mean_ms=config.issuance.processing_mean_ms,
-            processing_sigma_ms=config.issuance.processing_sigma_ms,
-            processing_min_ms=config.issuance.processing_min_ms,
-        )
-        mm_cfg = MMConfig(
-            base_half_spread=config.mm.base_half_spread,
-            vol_coeff=config.mm.vol_coeff,
-            half_spread_cap=config.mm.half_spread_cap,
-            ladder_offsets=tuple(config.mm.ladder_offsets),
-            level_qty_oz=config.mm.level_qty_oz,
-            inv_limit_oz=config.mm.inv_limit_oz,
-            rebalance_threshold_oz=config.mm.rebalance_threshold_oz,
-            skew_coeff=config.mm.skew_coeff,
-            vol_window_s=config.mm.vol_window_s,
-            address=MM_ADDRESS,
-            cold_address=COLD_ADDRESS,
+            config=config.issuance,
         )
         self.mm = MarketMakerAgent(
             self.sched, self.log, self.ledger, self.exchange, self.oracle,
-            issuance=self.issuance, config=mm_cfg, baseline_oz=config.mm.baseline_oz,
+            self.issuance, config.mm,
         )
         self.metrics = MetricsCollector(
-            self.sched, exchange=self.exchange, mm=self.mm, ledger=self.ledger,
-            risk=self.risk, oracle=self.oracle,
-            sample_interval_ms=config.sample_interval_ms,
+            self.sched, self.exchange, self.mm, self.ledger, self.risk, self.oracle,
+            config.sample_interval_ms,
         )
         self.loadgen = LoadGenerator(self)
         self.orchestrator = Orchestrator(

@@ -22,13 +22,6 @@ class UncoveredWithdrawal(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Attestation:
-    reported_micro_oz: int
-    t: int
-    auditor: str
-
-
 @dataclass
 class Ticket:
     amount: int
@@ -107,19 +100,17 @@ class Vault:
 
     # -- attestations -----------------------------------------------------------
 
-    def issue_attestation(self, now: int) -> Attestation:
+    def issue_attestation(self, now: int) -> None:
         reported = self.total_micro_oz
         if self.misreport_fraction is not None:
             reported = round(self.total_micro_oz * (1.0 - self.misreport_fraction))
         if reported != self.total_micro_oz:
             self.short_attestations.append((now, reported))
-        attestation = Attestation(reported, now, self.auditor)
         self.log.append(
             now, "vault", "attestation", {"reported": reported, "actual": self.total_micro_oz}
         )
         if self.submit_attestation is not None:
             self.submit_attestation(reported, self.auditor)
-        return attestation
 
     def start(self) -> None:
         interval = self.attestation_interval_ms

@@ -3,10 +3,11 @@
 import pytest
 
 from ozsim.agents.compliance import ComplianceAgent
-from ozsim.agents.issuance import IssuanceAgent
-from ozsim.agents.market_maker import MarketMakerAgent, MMConfig
+from ozsim.agents.issuance import ISSUER_ADDRESS, IssuanceAgent
+from ozsim.agents.market_maker import COLD_ADDRESS, MM_ADDRESS, MarketMakerAgent
 from ozsim.agents.orchestrator import Orchestrator
-from ozsim.agents.risk import RiskAgent, RiskConfig
+from ozsim.agents.risk import RiskAgent
+from ozsim.config import ComplianceSpec, IssuanceSpec, MMSpec, RiskSpec
 from ozsim.exchange import Exchange
 from ozsim.ledger import Ledger, ParamStore
 from ozsim.oracle import OracleHub, PriceProcess, Regime
@@ -27,7 +28,6 @@ class World:
         regimes=None,
         issuance_sigma=50.0,
         pre_trade_sigma=50.0,
-        risk_config=None,
         start_mm=False,
         order_style="market",
     ):
@@ -53,23 +53,20 @@ class World:
         self.exchange = Exchange(
             self.sched, self.log, self.ledger, onboarded=self._onboarded
         )
-        self.compliance = ComplianceAgent()
-        risk_config = risk_config or RiskConfig(
-            exempt_addresses=frozenset({"mm", "mm-cold", "issuance"})
-        )
+        self.compliance = ComplianceAgent(ComplianceSpec())
         self.risk = RiskAgent(
-            self.sched, self.log, self.ledger, oracle=self.oracle, config=risk_config
+            self.sched, self.log, self.ledger, RiskSpec(), oracle=self.oracle
         )
         self.issuance = IssuanceAgent(
             self.sched, self.log, self.ledger, self.vault,
             self.sched.fork_rng("agent-delays"),
             is_approved=self._approved,
             is_frozen=lambda: self.risk.issuance_frozen,
-            processing_sigma_ms=issuance_sigma,
+            config=IssuanceSpec(processing_sigma_ms=issuance_sigma),
         )
         self.mm = MarketMakerAgent(
             self.sched, self.log, self.ledger, self.exchange, self.oracle,
-            issuance=self.issuance, baseline_oz=mm_baseline_oz,
+            self.issuance, MMSpec(baseline_oz=mm_baseline_oz),
         )
         self.orchestrator = Orchestrator(
             self.sched, self.log, self.ledger, self.exchange,
@@ -80,9 +77,8 @@ class World:
             order_style=order_style,
             on_report=self._collect_report,
         )
-        self.orchestrator.register_platform("mm")
-        self.orchestrator.register_platform("mm-cold")
-        self.orchestrator.register_platform("issuance")
+        for addr in (MM_ADDRESS, COLD_ADDRESS, ISSUER_ADDRESS):
+            self.orchestrator.register_platform(addr)
         self.reports = []
 
         # genesis: attested reserve equals vault holdings; MM endowment minted
@@ -90,7 +86,7 @@ class World:
         if mm_baseline_oz:
             endowment = to_micro(mm_baseline_oz)
             self.vault.lock_for_issuance(endowment)
-            self.ledger.genesis_mint("mm", endowment)
+            self.ledger.genesis_mint(MM_ADDRESS, endowment)
         for addr, oz in (genesis_balances or {}).items():
             amount = to_micro(oz)
             self.vault.lock_for_issuance(amount)

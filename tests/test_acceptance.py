@@ -11,10 +11,10 @@ import statistics
 import pytest
 
 from ozsim.agents.compliance import APPROVED, ComplianceAgent, DENIED, MANUAL_REVIEW
-from ozsim.agents.risk import RiskAgent, RiskAlert, RiskConfig
+from ozsim.agents.risk import RiskAgent, RiskAlert
 from ozsim.bench import bench_config, run_bench
 from ozsim.checks import run_checks
-from ozsim.config import bundled_scenario_names, load_bundled
+from ozsim.config import ComplianceSpec, RiskSpec, bundled_scenario_names, load_bundled
 from ozsim.governance import Governance
 from ozsim.ledger import Ledger, ParamStore, PriceWindow
 from ozsim.profiles import CorpusSpec, generate_profiles
@@ -145,7 +145,7 @@ def test_criterion_08_compliance_corpus():
     profiles = generate_profiles(
         CorpusSpec(clean=48, low_confidence=2, sanctioned=1), RngStream(8, "profiles")
     )
-    agent = ComplianceAgent()
+    agent = ComplianceAgent(ComplianceSpec())
     rng = RngStream(8, "compliance")
     decisions = [agent.screen(p, 0, rng) for p in profiles]
     outcomes = [d.outcome for d in decisions]
@@ -159,7 +159,7 @@ def test_criterion_08_compliance_corpus():
     )
     # extended 10k corpus: mean auto-approval 2.8 min within 0.2 min
     big = generate_profiles(CorpusSpec(clean=10_000), RngStream(88, "profiles"))
-    agent2 = ComplianceAgent()
+    agent2 = ComplianceAgent(ComplianceSpec())
     rng2 = RngStream(88, "compliance")
     times = [agent2.screen(p, 0, rng2).processing_time_ms for p in big]
     mean_min = statistics.fmean(times) / 60_000
@@ -182,7 +182,7 @@ def test_criterion_09_concentration():
         ledger.set_genesis_reserve(to_micro(10_000))
         for addr, oz in balances.items():
             ledger.genesis_mint(addr, to_micro(oz))
-        risk = RiskAgent(sched, log, ledger, config=RiskConfig())
+        risk = RiskAgent(sched, log, ledger, RiskSpec())
         return sched, ledger, risk
 
     spread_out = {f"r{i}": 150 for i in range(5)}
@@ -261,7 +261,7 @@ def _materialize(state):
     if trading_paused:
         ledger.trading_paused = True
         ledger.breaker_tripped_at = 0
-    risk = RiskAgent(sched, log, ledger, config=RiskConfig())
+    risk = RiskAgent(sched, log, ledger, RiskSpec())
     if frozen:
         risk.shortfall_alert = RiskAlert("ReserveShortfall", 0, "frozen")
     risk.clear_requested = clear_requested

@@ -9,6 +9,7 @@ from ozsim.agents.compliance import (
     MANUAL_REVIEW,
     UserProfile,
 )
+from ozsim.config import ComplianceSpec
 from ozsim.sim import RngStream
 
 
@@ -17,7 +18,7 @@ def rng():
 
 
 def test_sanctions_match_denied():
-    agent = ComplianceAgent()
+    agent = ComplianceAgent(ComplianceSpec())
     profile = UserProfile("u1", sanctions_match=True)
     decision = agent.screen(profile, 0, rng())
     assert decision.outcome == DENIED
@@ -25,19 +26,19 @@ def test_sanctions_match_denied():
 
 
 def test_disallowed_region_denied():
-    agent = ComplianceAgent(disallowed_regions={"XX"})
+    agent = ComplianceAgent(ComplianceSpec(disallowed_regions=["XX"]))
     decision = agent.screen(UserProfile("u1", region="XX"), 0, rng())
     assert decision.outcome == DENIED
 
 
 def test_invalid_docs_denied():
-    agent = ComplianceAgent()
+    agent = ComplianceAgent(ComplianceSpec())
     decision = agent.screen(UserProfile("u1", docs_valid=False), 0, rng())
     assert decision.outcome == DENIED
 
 
 def test_low_confidence_goes_to_manual_review_resolved_within_two_hours():
-    agent = ComplianceAgent()
+    agent = ComplianceAgent(ComplianceSpec())
     decision = agent.screen(UserProfile("u1", face_match_confidence=0.85), 0, rng())
     assert decision.outcome == MANUAL_REVIEW
     assert decision.resolution == APPROVED
@@ -45,20 +46,20 @@ def test_low_confidence_goes_to_manual_review_resolved_within_two_hours():
 
 
 def test_confidence_at_threshold_auto_approves():
-    agent = ComplianceAgent()
+    agent = ComplianceAgent(ComplianceSpec())
     decision = agent.screen(UserProfile("u1", face_match_confidence=0.90), 0, rng())
     assert decision.outcome == APPROVED
 
 
 def test_duplicate_screening_rejected():
-    agent = ComplianceAgent()
+    agent = ComplianceAgent(ComplianceSpec())
     agent.screen(UserProfile("u1"), 0, rng())
     with pytest.raises(ValueError):
         agent.screen(UserProfile("u1"), 0, rng())
 
 
 def test_processing_time_is_floored():
-    agent = ComplianceAgent()
+    agent = ComplianceAgent(ComplianceSpec())
     stream = rng()
     for i in range(2000):
         decision = agent.screen(UserProfile(f"u{i}"), 0, stream)
@@ -67,7 +68,7 @@ def test_processing_time_is_floored():
 
 def test_clean_corpus_mean_processing_time():
     # 10k clean tier-1 profiles: mean auto-approval time 168 s within 5 s.
-    agent = ComplianceAgent()
+    agent = ComplianceAgent(ComplianceSpec())
     stream = rng()
     times = []
     for i in range(10_000):

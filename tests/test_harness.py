@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import importlib.util
 import json
 from pathlib import Path
 
@@ -9,7 +10,9 @@ from ozsim.agents.compliance import APPROVED, DENIED, MANUAL_REVIEW
 from ozsim.bench import bench_config
 from ozsim.checks import run_checks
 from ozsim.cli import main as cli_main
-from ozsim.config import ConfigError, load_bundled, load_config, bundled_scenario_names
+from ozsim.config import (
+    ComplianceSpec, ConfigError, bundled_scenario_names, load_bundled, load_config,
+)
 from ozsim.profiles import CorpusSpec, generate_profiles
 from ozsim.replay import diff_logs, replay
 from ozsim.runner import Simulation, run_scenario
@@ -57,6 +60,36 @@ class TestConfig:
                 }],
             })
 
+    @pytest.mark.parametrize("key, value", [("risk", 5), ("price", "x"), ("mm", [1])])
+    def test_nested_spec_must_be_an_object(self, key, value):
+        with pytest.raises(ConfigError, match=f"scenario.{key}: expected an object"):
+            load_config({**MINIMAL, key: value})
+
+    def test_optional_spec_may_be_null(self):
+        assert tiny_config(issue_burst=None).issue_burst is None
+
+    @pytest.mark.parametrize("fault, field", [
+        ({"target": "oracle", "kind": "bogus"}, "kind"),
+        ({"target": "oracle", "kind": "misreport"}, "kind"),
+        ({"target": "vault", "kind": "stuck"}, "kind"),
+        ({"target": "oracle", "kind": "stuck", "feed": "tertiary"}, "feed"),
+    ])
+    def test_fault_kind_and_feed_checked(self, fault, field):
+        entry = {**fault, "start_ms": 1_000, "duration_ms": 1_000}
+        with pytest.raises(ConfigError, match=rf"fault_schedule\[0\]\.{field}"):
+            load_config({**MINIMAL, "fault_schedule": [entry]})
+
+    def test_valid_faults_accepted(self):
+        faults = [
+            {"target": "oracle", "kind": "stuck", "feed": "secondary"},
+            {"target": "oracle", "kind": "spoofed", "magnitude": 0.01},
+            {"target": "vault", "kind": "misreport", "magnitude": 0.005},
+        ]
+        config = tiny_config(fault_schedule=[
+            {**f, "start_ms": 1_000, "duration_ms": 1_000} for f in faults
+        ])
+        assert [f.kind for f in config.fault_schedule] == ["stuck", "spoofed", "misreport"]
+
     def test_unknown_governance_action_rejected(self):
         with pytest.raises(ConfigError, match="unknown action"):
             load_config({**MINIMAL, "governance_schedule": [{"action": "coup"}]})
@@ -93,7 +126,7 @@ class TestProfiles:
 
         spec = CorpusSpec(clean=48, low_confidence=2, sanctioned=1)
         profiles = generate_profiles(spec, RngStream(1, "profiles"))
-        agent = ComplianceAgent()
+        agent = ComplianceAgent(ComplianceSpec())
         rng = RngStream(1, "compliance")
         outcomes = [agent.screen(p, 0, rng).outcome for p in profiles]
         assert outcomes.count(APPROVED) == 48
@@ -239,6 +272,10 @@ class TestCli:
         log.write_text(text)
         assert cli_main(["replay", "--log", str(log)]) == 3
 
+    def test_bench_descending_counts_is_a_config_error(self, capsys):
+        assert cli_main(["bench", "--users", "200,100"]) == 1
+        assert "config error: user counts must be ascending" in capsys.readouterr().err
+
     def test_scenarios_list(self, capsys):
         assert cli_main(["scenarios", "list"]) == 0
         out = capsys.readouterr().out
@@ -256,3 +293,23 @@ def test_bench_smoke_two_counts():
     assert [r["users"] for r in rows] == [50, 100]
     assert all(r["completed"] > 0 for r in rows)
     assert rows[1]["sustained_tps"] > rows[0]["sustained_tps"]
+
+
+def load_tracing():
+    """The benchmark's tracer module, read from perfbench/ as it is."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_finds_every_instrumented_name():
+    """Every method the benchmark wraps and every counter it reads still exists."""
+    tracer = load_tracing().Tracer()
+    sim = Simulation(load_bundled("governance-demo"))
+    tracer.install(sim)
+    sim.execute()
+    tracer.collect(sim)
+    assert tracer.absent == set()
+    assert tracer.metrics()["sim.events"] > 0

@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ozsim.agents.market_maker import MMConfig, MarketMakerAgent, _exact_stdev
+from ozsim.agents.market_maker import MarketMakerAgent, _exact_stdev
 from ozsim.exchange import ASK, BID
 from ozsim.units import MICRO, to_micro
 

@@ -6,7 +6,6 @@ from ozsim.agents.risk import (
     ORACLE_STALE,
     RESERVE_SHORTFALL,
     AdmissionGate,
-    RiskConfig,
 )
 from ozsim.oracle import PRIMARY, SECONDARY
 from ozsim.units import to_micro
