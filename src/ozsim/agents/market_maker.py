@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import pairwise, repeat
 from operator import mul
 
 from ..config import MMSpec
@@ -28,31 +27,36 @@ MM_ADDRESS = "mm"
 COLD_ADDRESS = "mm-cold"
 
 
+# Every finite float times 2**RETURN_SHIFT is an exact integer.
+RETURN_SHIFT = 1074
+
+
+def _scaled(x: float) -> int:
+    """x * 2**RETURN_SHIFT exactly; NaN and infinities raise."""
+    m, d = x.as_integer_ratio()  # d is a power of two no larger than 2**1074
+    return m << (RETURN_SHIFT + 1 - d.bit_length())
+
+
 def _exact_stdev(xs: list[float]) -> float:
     """Sample standard deviation of finite floats, equal bit for bit to
     `statistics.stdev` of Python 3.11 and later (the first to round it
-    correctly).
+    correctly)."""
+    vs = list(map(_scaled, xs))
+    return _stdev_from_sums(len(vs), sum(vs), sum(map(mul, vs, vs)), RETURN_SHIFT)
 
-    Every float is m/d with d a power of two, so scaling all of them by
-    2**shift, with shift set by the smallest nonzero magnitude, gives exact
-    integers v.  Their sums make the variance exactly
-    (n*sum(v*v) - sum(v)**2) / (n*(n-1) * 4**shift), the rational that
-    `statistics.stdev` builds from Fractions.  Its square root is rounded once,
-    correctly: an integer square root of at least 55 significant bits, made
-    odd when inexact (round-to-odd, as in CPython's statistics module), loses
-    nothing to the final rounding to a float.  A correctly rounded result is
-    unique, so the two agree.  NaN and infinities have no integer value and
-    raise.
+
+def _stdev_from_sums(n: int, sx: int, sxx: int, shift: int) -> float:
+    """Sample standard deviation of n >= 2 values v / 2**shift, given the
+    integers sx = sum(v) and sxx = sum(v*v).
+
+    The variance is exactly (n*sxx - sx**2) / (n*(n-1) * 4**shift), the
+    rational that `statistics.stdev` builds from Fractions.  Its square root is
+    rounded once, correctly: an integer square root of at least 55 significant
+    bits, made odd when inexact (round-to-odd, as in CPython's statistics
+    module), loses nothing to the final rounding to a float.  A correctly
+    rounded result is unique, so the two agree.
     """
-    tiny = min(filter(None, map(abs, xs)), default=0.0)
-    shift = 53 - math.frexp(tiny)[1]
-    try:  # C-level scaling; 10% off day-24h wall time against the fallback alone
-        vs = list(map(int, map(math.ldexp, xs, repeat(shift))))
-    except OverflowError:  # magnitudes more than 2**971 apart do not fit one float
-        vs = [m << (shift + 1 - d.bit_length()) for m, d in map(float.as_integer_ratio, xs)]
-    n = len(vs)
-    sx = sum(vs)
-    num = n * sum(map(mul, vs, vs)) - sx * sx
+    num = n * sxx - sx * sx
     den = n * (n - 1)
     # sqrt(num/den) = a * 2**q with a an integer of 55 or more bits
     q = (num.bit_length() - den.bit_length() - 109) // 2
@@ -87,7 +91,13 @@ class MarketMakerAgent:
         self.baseline = to_micro(config.baseline_oz)
         self.inventory = 0  # micro-OZ relative to the neutral baseline
         self.current_half_spread = self.config.base_half_spread
-        self._mid_history: deque[float] = deque(maxlen=self.config.vol_window_s + 1)
+        # Volatility window: the last vol_window_s one-second log returns,
+        # scaled by _scaled(), None for a pair holding a nonpositive mid.
+        self._last_mid: float | None = None
+        self._returns: deque[int | None] = deque(maxlen=self.config.vol_window_s)
+        self._n = 0  # returns in the window that are not None
+        self._sv = 0  # their sum
+        self._svv = 0  # the sum of their squares
         self._live_orders: list[int] = []
         self._rebalance_pending = False
         self.rebalance_events: list[tuple[int, int]] = []  # (t, inventory before)
@@ -107,16 +117,34 @@ class MarketMakerAgent:
 
     # -- volatility estimate ------------------------------------------------------
 
+    def observe_mid(self, mid: float) -> None:
+        """Add one reference mid to the volatility window, evicting the oldest
+        return once the window holds vol_window_s of them."""
+        prev, self._last_mid = self._last_mid, mid
+        if prev is None:
+            return
+        returns = self._returns
+        if len(returns) == returns.maxlen:
+            old = returns.popleft()
+            if old is not None:
+                self._n -= 1
+                self._sv -= old
+                self._svv -= old * old
+        if prev > 0 and mid > 0:
+            v = _scaled(math.log(mid / prev))
+            returns.append(v)
+            self._n += 1
+            self._sv += v
+            self._svv += v * v
+        else:
+            returns.append(None)
+
     def realized_sigma(self) -> float:
         """Sample standard deviation of the one-second log returns of the
         reference mid over the volatility window, computed exactly."""
-        prices = self._mid_history
-        if len(prices) < 3:
+        if self._n < 2:
             return 0.0
-        returns = [math.log(b / a) for a, b in pairwise(prices) if a > 0 and b > 0]
-        if len(returns) < 2:
-            return 0.0
-        return _exact_stdev(returns)
+        return _stdev_from_sums(self._n, self._sv, self._svv, RETURN_SHIFT)
 
     def half_spread(self, sigma: float) -> float:
         cfg = self.config
@@ -132,7 +160,7 @@ class MarketMakerAgent:
 
     def quote_cycle(self, now: int) -> None:
         ref = self.oracle.reference_price()
-        self._mid_history.append(ref / MICRO)
+        self.observe_mid(ref / MICRO)
         if self.ledger.trading_paused:
             return  # book is frozen with the halt; skip the cycle
         self.maybe_rebalance(now)

@@ -252,8 +252,21 @@ def load_config(data: dict) -> ScenarioConfig:
     if config is not None:
         _validate_schedule(config.governance_schedule, _GOV_ACTION_KEYS, "scenario.governance_schedule", errors)
         _validate_schedule(config.ops_schedule, _OPS_ACTION_KEYS, "scenario.ops_schedule", errors)
-        if config.duration_ms <= 0:
-            errors.append("scenario.duration_ms: must be positive")
+        positive = {
+            "duration_ms": config.duration_ms,
+            "block_interval_ms": config.block_interval_ms,
+            "sample_interval_ms": config.sample_interval_ms,
+            "attestation_interval_ms": config.attestation_interval_ms,
+            "risk.cycle_ms": config.risk.cycle_ms,
+            "mm.vol_window_s": config.mm.vol_window_s,
+        }
+        for name, value in positive.items():
+            if value <= 0:
+                errors.append(f"scenario.{name}: must be positive")
+        for name, value in (("user_count", config.user_count),
+                            ("snapshot_interval_ms", config.snapshot_interval_ms)):
+            if value < 0:
+                errors.append(f"scenario.{name}: must not be negative")
         if config.action_mix:
             total = sum(config.action_mix.values())
             if abs(total - 1.0) > 1e-9:

@@ -1,18 +1,24 @@
 """Deterministic discrete-event core: simulated clock, seeded RNG streams, event log.
 
 Time is integer milliseconds since scenario start.  Events are totally ordered
-by (fire_at, priority, seq); seq is the insertion counter, so two events at the
-same instant and priority fire in insertion order.  Replaying a scenario with
-the same seed therefore reproduces the exact event sequence.
+by (fire_at, priority, insertion order): two events at the same instant and
+priority fire in the order they were scheduled.  Replaying a scenario with the
+same seed therefore reproduces the exact event sequence.
+
+The scheduler keeps one FIFO bucket of actions per distinct (fire_at, priority)
+key and a heap of those keys, encoded as the integer fire_at * 8 + priority, so
+an event joining an existing bucket costs a dict lookup and a list append and
+the heap is touched once per key (a calendar queue in the sense of Brown, CACM
+31(10), 1988, with the integer millisecond clock as the calendar).
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
-import heapq
 import json
 import random
+from heapq import heappop, heappush
 from typing import IO, Any, Callable, Optional
 
 
@@ -62,6 +68,14 @@ class Scheduler:
       3  market-maker quote cycles
       4  fault-schedule toggles
       5  metrics sampling and state snapshots
+    The key encoding leaves room for 6 and 7; anything else is refused.
+
+    run_until() drains the smallest key's bucket in order.  An action that
+    schedules at the key being drained appends to its bucket and fires in the
+    same pass.  An action at (t, p) that schedules at (t, p' < p) interrupts
+    the drain: the heap's smallest key is no longer the current one, so the
+    rest of the bucket waits until the new key has fired.  An action that
+    raises counts as fired; the rest of its bucket stays queued.
 
     Periodic work registers through every(), which runs its body and then
     reschedules it one interval later, so an event the body schedules for the
@@ -71,8 +85,8 @@ class Scheduler:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._now = 0
-        self._seq = 0
-        self._heap: list[tuple[int, int, int, Callable[[], None]]] = []
+        self._keys: list[int] = []  # heap of the keys that have a bucket
+        self._buckets: dict[int, list[Callable[[], None]]] = {}
 
     def now(self) -> int:
         return self._now
@@ -85,8 +99,17 @@ class Scheduler:
     ) -> None:
         if fire_at < self._now:
             raise PastTime(f"cannot schedule {kind!r} at t={fire_at} (now={self._now})")
-        heapq.heappush(self._heap, (fire_at, priority, self._seq, action))
-        self._seq += 1
+        if not 0 <= priority <= 7:
+            raise ValueError(f"priority of {kind!r} must be 0-7, got {priority}")
+        key = fire_at * 8 + priority
+        if key.__class__ is not int:  # a fractional time would collide with another key
+            raise TypeError(f"time of {kind!r} must be an integer millisecond, got {fire_at!r}")
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = [action]
+            heappush(self._keys, key)
+        else:
+            bucket.append(action)
 
     def schedule_in(
         self, delay: int, priority: int, kind: str, action: Callable[[], None]
@@ -97,6 +120,8 @@ class Scheduler:
         self, start: int, interval: int, priority: int, kind: str, fn: Callable[[], None]
     ) -> None:
         """Run fn() at start, start + interval, start + 2*interval, ..."""
+        if interval <= 0:
+            raise ValueError(f"interval of {kind!r} must be positive, got {interval}")
 
         def fire() -> None:
             fn()
@@ -112,15 +137,29 @@ class Scheduler:
         """
         if end < self._now:
             raise PastTime(f"cannot run backwards to t={end} (now={self._now})")
+        keys, buckets = self._keys, self._buckets
+        last = end * 8 + 7
         fired = 0
         thresholds = gc.get_threshold()
         gc.set_threshold(RUN_GEN0_THRESHOLD, *thresholds[1:])
         try:
-            while self._heap and self._heap[0][0] <= end:
-                fire_at, _, _, action = heapq.heappop(self._heap)
-                self._now = fire_at
-                action()
-                fired += 1
+            while keys and keys[0] <= last:
+                key = keys[0]
+                bucket = buckets[key]
+                self._now = key >> 3
+                n = 0
+                try:
+                    for action in bucket:  # also visits actions appended meanwhile
+                        n += 1
+                        action()
+                        if keys[0] != key:
+                            break  # a lower priority at this time fires first
+                finally:
+                    del bucket[:n]  # an action that raised counts as fired
+                fired += n
+                if not bucket and keys[0] == key:
+                    heappop(keys)
+                    del buckets[key]
         finally:
             gc.set_threshold(*thresholds)
         self._now = end

@@ -65,6 +65,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"scenario.{key}: expected an object"):
             load_config({**MINIMAL, key: value})
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"block_interval_ms": 0}, "block_interval_ms"),
+        ({"sample_interval_ms": 0}, "sample_interval_ms"),
+        ({"attestation_interval_ms": -1}, "attestation_interval_ms"),
+        ({"risk": {"cycle_ms": 0}}, "risk.cycle_ms"),
+        ({"mm": {"vol_window_s": 0}}, "mm.vol_window_s"),
+        ({"duration_ms": 0}, "duration_ms"),
+    ])
+    def test_periods_must_be_positive(self, overrides, field):
+        with pytest.raises(ConfigError, match=rf"scenario\.{field}: must be positive"):
+            load_config({**MINIMAL, **overrides})
+
+    @pytest.mark.parametrize("field", ["user_count", "snapshot_interval_ms"])
+    def test_counts_must_not_be_negative(self, field):
+        with pytest.raises(ConfigError, match=rf"scenario\.{field}: must not be negative"):
+            load_config({**MINIMAL, field: -3})
+        assert getattr(tiny_config(**{field: 0}), field) == 0
+
     def test_optional_spec_may_be_null(self):
         assert tiny_config(issue_burst=None).issue_burst is None
 

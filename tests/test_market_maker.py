@@ -3,11 +3,15 @@ import random
 import statistics
 import struct
 import sys
+from collections import deque
+from itertools import pairwise
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ozsim.agents.market_maker import MarketMakerAgent, _exact_stdev
+from ozsim.config import MMSpec
 from ozsim.exchange import ASK, BID
 from ozsim.units import MICRO, to_micro
 
@@ -49,7 +53,7 @@ class TestQuoting:
         w.run_to(5_000)
         # force a saturated vol estimate: alternating +-2% log returns
         for i in range(61):
-            w.mm._mid_history.append(2400.0 * (1.02 if i % 2 else 0.98))
+            w.mm.observe_mid(2400.0 * (1.02 if i % 2 else 0.98))
         w.mm.quote_cycle(5_000)
         book = w.exchange.book
         mid = book.mid()
@@ -215,6 +219,24 @@ class TestExactStdev:
         prices = [2400.0]
         for _ in range(w.mm.config.vol_window_s):
             prices.append(round(prices[-1] * math.exp(rng.gauss(0.0, 1e-3)), 6))
-        w.mm._mid_history.extend(prices)
+        for price in prices:
+            w.mm.observe_mid(price)
         returns = [math.log(b / a) for a, b in zip(prices, prices[1:])]
         assert _bits(w.mm.realized_sigma()) == _bits(statistics.stdev(returns))
+
+    @needs_exact_reference
+    @settings(max_examples=200, deadline=None)
+    @given(window=st.integers(1, 6),
+           mids=st.lists(st.one_of(st.floats(2000.0, 2800.0),
+                                   st.sampled_from([0.0, -1.0, 2400.0])), max_size=20))
+    def test_property_rolling_sigma_matches_recomputed_window(self, window, mids):
+        exchange = SimpleNamespace(on_trade=lambda callback: None)
+        mm = MarketMakerAgent(None, None, None, exchange, None, None,
+                              MMSpec(vol_window_s=window))
+        history = deque(maxlen=window + 1)
+        for mid in mids:
+            mm.observe_mid(mid)
+            history.append(mid)
+            returns = [math.log(b / a) for a, b in pairwise(history) if a > 0 and b > 0]
+            expected = statistics.stdev(returns) if len(returns) >= 2 else 0.0
+            assert _bits(mm.realized_sigma()) == _bits(expected)

@@ -1,7 +1,10 @@
 import gc
+import heapq
 import io
+from itertools import count
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ozsim.sim import RUN_GEN0_THRESHOLD, EventLog, PastTime, RngStream, Scheduler
 
@@ -76,6 +79,164 @@ def test_run_until_restores_callers_thresholds_when_an_action_raises(caller_thre
     with pytest.raises(RuntimeError, match="boom"):
         sched.run_until(10)
     assert gc.get_threshold() == caller_thresholds
+
+
+def test_action_that_raises_is_consumed_and_its_bucket_resumes_once():
+    sched = Scheduler(seed=1)
+    fired = []
+
+    def boom() -> None:
+        fired.append("boom")
+        raise RuntimeError("boom")
+
+    sched.schedule(10, 2, "a", lambda: fired.append("a"))
+    sched.schedule(10, 2, "boom", boom)
+    sched.schedule(10, 2, "b", lambda: fired.append("b"))
+    sched.schedule(10, 2, "c", lambda: fired.append("c"))
+    with pytest.raises(RuntimeError, match="boom"):
+        sched.run_until(20)
+    assert fired == ["a", "boom"]
+    assert sched.now() == 10
+    assert sched.run_until(20) == 2
+    assert fired == ["a", "boom", "b", "c"]
+    assert sched.now() == 20
+    assert sched.run_until(30) == 0
+
+
+def test_action_that_raises_last_in_its_bucket_leaves_later_events_queued():
+    sched = Scheduler(seed=1)
+    fired = []
+
+    def boom() -> None:
+        fired.append("boom")
+        sched.schedule(10, 0, "lower", lambda: fired.append("lower"))
+        raise RuntimeError("boom")
+
+    sched.schedule(10, 2, "boom", boom)
+    sched.schedule(15, 2, "later", lambda: fired.append("later"))
+    with pytest.raises(RuntimeError, match="boom"):
+        sched.run_until(20)
+    assert sched.run_until(20) == 2
+    assert fired == ["boom", "lower", "later"]
+
+
+def test_lower_priority_at_the_same_time_fires_before_the_rest_of_the_bucket():
+    sched = Scheduler(seed=1)
+    fired = []
+
+    def first() -> None:
+        fired.append("first")
+        sched.schedule(10, 0, "urgent", lambda: fired.append("urgent"))
+
+    def last() -> None:
+        fired.append("last")
+        sched.schedule(10, 1, "urgent-after-last", lambda: fired.append("urgent-after-last"))
+        sched.schedule(10, 2, "tail", lambda: fired.append("tail"))
+
+    def only() -> None:
+        fired.append("only")
+        sched.schedule(20, 0, "urgent-after-only", lambda: fired.append("urgent-after-only"))
+
+    sched.schedule(10, 2, "first", first)
+    sched.schedule(10, 2, "last", last)
+    sched.schedule(20, 2, "only", only)
+    sched.schedule(30, 2, "later", lambda: fired.append("later"))
+    assert sched.run_until(30) == 8
+    assert fired == ["first", "urgent", "last", "urgent-after-last", "tail",
+                     "only", "urgent-after-only", "later"]
+
+
+@pytest.mark.parametrize("priority", [-1, 8])
+def test_priority_outside_the_key_range_is_rejected(priority):
+    sched = Scheduler(seed=1)
+    with pytest.raises(ValueError, match="priority"):
+        sched.schedule(10, priority, "bad", lambda: None)
+    for ok in (0, 7):
+        sched.schedule(10, ok, "ok", lambda: None)
+    assert sched.run_until(10) == 2
+
+
+def test_fractional_time_is_rejected():
+    sched = Scheduler(seed=1)
+    with pytest.raises(TypeError, match="integer millisecond"):
+        sched.schedule(10.5, 2, "bad", lambda: None)
+    with pytest.raises(TypeError, match="integer millisecond"):
+        sched.schedule_in(2.0, 2, "bad", lambda: None)
+    assert sched.run_until(100) == 0
+
+
+@pytest.mark.parametrize("interval", [0, -5])
+def test_every_rejects_a_nonpositive_interval(interval):
+    sched = Scheduler(seed=1)
+    with pytest.raises(ValueError, match="interval"):
+        sched.every(0, interval, 2, "tick", lambda: None)
+    assert sched.run_until(100) == 0
+
+
+class HeapScheduler(Scheduler):
+    """Reference: one heap entry per event, ordered by (fire_at, priority, seq)."""
+
+    def __init__(self):
+        super().__init__(seed=0)
+        self._heap, self._seq = [], count()
+
+    def schedule(self, fire_at, priority, kind, action):
+        if fire_at < self._now:
+            raise PastTime(kind)
+        heapq.heappush(self._heap, (fire_at, priority, next(self._seq), action))
+
+    def run_until(self, end):
+        fired = 0
+        while self._heap and self._heap[0][0] <= end:
+            self._now, _, _, action = heapq.heappop(self._heap)
+            action()
+            fired += 1
+        self._now = end
+        return fired
+
+
+_CHILD = st.tuples(st.sampled_from([0, 0, 0, 1, 5]), st.integers(0, 5))  # (delay, priority)
+
+
+def _run_program(sched, roots, ticks, table, cuts):
+    """Schedule roots and periodic ticks whose firings queue children by the
+    table; return every firing as (label, time) and run_until's results."""
+    fired, ids = [], count()
+
+    def add(fire_at, priority):
+        eid = next(ids)
+
+        def action():
+            fired.append((eid, sched.now()))
+            if eid < 150:  # bounds the chains of same-time children
+                for delay, child_priority in table[eid % len(table)]:
+                    add(sched.now() + delay, child_priority)
+
+        sched.schedule(fire_at, priority, "event", action)
+
+    for fire_at, priority in roots:
+        add(fire_at, priority)
+    for i, (start, interval, priority, delay, child_priority) in enumerate(ticks):
+        def tick(i=i, delay=delay, child_priority=child_priority):
+            fired.append((f"tick{i}", sched.now()))
+            add(sched.now() + delay, child_priority)
+
+        sched.every(start, interval, priority, "tick", tick)
+    returns = [sched.run_until(end) for end in sorted(cuts)]
+    return fired, returns, sched.now()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    roots=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 5)), max_size=25),
+    ticks=st.lists(st.tuples(st.integers(0, 20), st.integers(1, 15), st.integers(0, 5),
+                             st.sampled_from([0, 0, 3]), st.integers(0, 5)), max_size=3),
+    table=st.lists(st.lists(_CHILD, max_size=3), min_size=1, max_size=12),
+    cuts=st.lists(st.integers(0, 60), min_size=1, max_size=4),
+)
+def test_property_firing_order_matches_reference_heap(roots, ticks, table, cuts):
+    expected = _run_program(HeapScheduler(), roots, ticks, table, cuts)
+    assert _run_program(Scheduler(seed=0), roots, ticks, table, cuts) == expected
 
 
 def test_every_fires_at_start_then_each_interval():
