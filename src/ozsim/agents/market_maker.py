@@ -170,10 +170,6 @@ class MarketMakerAgent:
         cfg = self.config
         anchor = ref * (1.0 - cfg.skew_coeff * self.inventory / to_micro(cfg.inv_limit_oz))
 
-        for order_id in self._live_orders:
-            self.exchange.cancel(order_id)
-        self._live_orders.clear()
-
         level_qty = to_micro(cfg.level_qty_oz)
         inv_limit = to_micro(cfg.inv_limit_oz)
         quote_bids = self.inventory < inv_limit
@@ -181,19 +177,15 @@ class MarketMakerAgent:
         # Levels sit at their configured offsets but never inside the current
         # half-spread; colliding levels merge at the same price.
         ask_budget = self.holdings  # never quote more than the agent holds
+        quotes: list[tuple[str, int, int]] = []
         for offset in cfg.ladder_offsets:
             distance = max(h, offset)
             if quote_bids:
-                price = round(anchor * (1.0 - distance))
-                _, order_id = self.exchange.place(MM_ADDRESS, BID, level_qty, price)
-                if order_id is not None:
-                    self._live_orders.append(order_id)
+                quotes.append((BID, level_qty, round(anchor * (1.0 - distance))))
             if quote_asks and ask_budget >= level_qty:
-                price = round(anchor * (1.0 + distance))
-                _, order_id = self.exchange.place(MM_ADDRESS, ASK, level_qty, price)
-                if order_id is not None:
-                    self._live_orders.append(order_id)
+                quotes.append((ASK, level_qty, round(anchor * (1.0 + distance))))
                 ask_budget -= level_qty
+        self._live_orders = self.exchange.requote(MM_ADDRESS, self._live_orders, quotes)
 
     # -- rebalancing -------------------------------------------------------------
 

@@ -231,6 +231,14 @@ def _build(cls, data: Any, path: str, errors: list[str]):
         return None
 
 
+_SCHEDULE_TIME_KEYS = {"at_ms", "propose_at_ms", "vote_at_ms", "execute_at_ms"}
+
+
+def _is_time(value: Any) -> bool:
+    """A non-negative integer millisecond; a bool is not one."""
+    return type(value) is int and value >= 0
+
+
 def _validate_schedule(entries, key_table, path, errors):
     for i, entry in enumerate(entries or []):
         if not isinstance(entry, dict) or "action" not in entry:
@@ -241,9 +249,16 @@ def _validate_schedule(entries, key_table, path, errors):
         if allowed is None:
             errors.append(f"{path}[{i}].action: unknown action {action!r}")
             continue
-        for k in entry:
+        for k, value in entry.items():
             if k not in allowed:
                 errors.append(f"{path}[{i}].{k}: unknown key for {action}")
+            elif k in _SCHEDULE_TIME_KEYS and not _is_time(value):
+                errors.append(f"{path}[{i}].{k}: must be a non-negative integer, got {value!r}")
+            elif k == "sign_at_ms" and not (
+                isinstance(value, list) and all(map(_is_time, value))
+            ):
+                errors.append(f"{path}[{i}].{k}: must be a list of non-negative integers, "
+                              f"got {value!r}")
 
 
 def load_config(data: dict) -> ScenarioConfig:
@@ -264,9 +279,12 @@ def load_config(data: dict) -> ScenarioConfig:
             if value <= 0:
                 errors.append(f"scenario.{name}: must be positive")
         for name, value in (("user_count", config.user_count),
-                            ("snapshot_interval_ms", config.snapshot_interval_ms)):
+                            ("snapshot_interval_ms", config.snapshot_interval_ms),
+                            ("risk.phase_ms", config.risk.phase_ms)):
             if value < 0:
                 errors.append(f"scenario.{name}: must not be negative")
+        if config.load_model == "closed" and not config.think_time_ms > 0:
+            errors.append("scenario.think_time_ms: must be positive under the closed load model")
         if config.action_mix:
             total = sum(config.action_mix.values())
             if abs(total - 1.0) > 1e-9:

@@ -8,9 +8,10 @@ a halt are retried in later batches so settlement eventually completes.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .ledger import Ledger, Receipt
@@ -32,23 +33,31 @@ class EmptySide(Exception):
     pass
 
 
-@dataclass
 class Order:
-    order_id: int
-    owner: str
-    side: str  # bid | ask
-    price: Optional[int]  # micro-USD per OZ; None for market orders
-    qty: int  # micro-OZ
-    placed_at: int
-    kind: str  # limit | market
-    remaining: int = field(default=0)
+    __slots__ = ("order_id", "owner", "side", "price", "qty", "placed_at", "kind", "remaining")
 
-    def __post_init__(self) -> None:
-        if self.qty <= 0:
+    def __init__(
+        self,
+        order_id: int,
+        owner: str,
+        side: str,  # bid | ask
+        price: Optional[int],  # micro-USD per OZ; None for market orders
+        qty: int,  # micro-OZ
+        placed_at: int,
+        kind: str,  # limit | market
+    ) -> None:
+        if qty <= 0:
             raise ValueError("order qty must be positive")
-        if self.kind == "limit" and (self.price is None or self.price <= 0):
+        if kind == "limit" and (price is None or price <= 0):
             raise ValueError("limit orders need a positive price")
-        self.remaining = self.qty
+        self.order_id = order_id
+        self.owner = owner
+        self.side = side
+        self.price = price
+        self.qty = qty
+        self.placed_at = placed_at
+        self.kind = kind
+        self.remaining = qty
 
 
 @dataclass(frozen=True)
@@ -85,14 +94,24 @@ class OrderBook:
             return None
         return (bid + ask) / 2
 
+    def crosses(self, side: str, price: int) -> bool:
+        """Whether a limit order at price on side reaches the opposite best."""
+        if side == BID:
+            prices = self._prices[ASK]
+            return bool(prices) and price >= prices[0]
+        prices = self._prices[BID]
+        return bool(prices) and price <= prices[-1]
+
     def resting_qty(self, side: str) -> int:
         return sum(
             order.remaining for q in self._levels[side].values() for order in q
         )
 
     def rest(self, order: Order) -> None:
-        level = self._levels[order.side].setdefault(order.price, deque())
-        if not level:
+        levels = self._levels[order.side]
+        level = levels.get(order.price)
+        if level is None:  # a level is dropped as soon as it empties
+            level = levels[order.price] = deque()
             insort(self._prices[order.side], order.price)
         level.append(order)
         self._orders[order.order_id] = order
@@ -171,36 +190,25 @@ class OrderBook:
         if not prices:
             return 0
         if side == BID:
-            lo = prices[-1] * (1 - pct)
-            return sum(
-                sum(o.remaining for o in level)
-                for price, level in self._levels[BID].items()
-                if price >= lo
-            )
-        hi = prices[0] * (1 + pct)
-        return sum(
-            sum(o.remaining for o in level)
-            for price, level in self._levels[ASK].items()
-            if price <= hi
-        )
+            return self._depth(BID, prices[-1] * (1 - pct), math.inf)
+        return self._depth(ASK, -math.inf, prices[0] * (1 + pct))
 
     def depth_within(self, pct: float) -> tuple[int, int]:
         """Resting micro-OZ within pct of mid on each side: (bid, ask)."""
         mid = self.mid()
         if mid is None:
             raise EmptySide("depth_within needs both sides quoted")
-        lo, hi = mid * (1 - pct), mid * (1 + pct)
-        bid_depth = sum(
-            sum(o.remaining for o in level)
-            for price, level in self._levels[BID].items()
-            if price >= lo
-        )
-        ask_depth = sum(
-            sum(o.remaining for o in level)
-            for price, level in self._levels[ASK].items()
-            if price <= hi
-        )
-        return bid_depth, ask_depth
+        return (self._depth(BID, mid * (1 - pct), math.inf),
+                self._depth(ASK, -math.inf, mid * (1 + pct)))
+
+    def _depth(self, side: str, lo: float, hi: float) -> int:
+        """Resting micro-OZ on side at prices from lo to hi."""
+        depth = 0
+        for price, level in self._levels[side].items():
+            if lo <= price <= hi:
+                for order in level:
+                    depth += order.remaining
+        return depth
 
 
 def _pair_key(a: str, b: str) -> tuple[str, str]:
@@ -251,10 +259,7 @@ class Exchange:
 
         Returns (trades, resting order id or None).
         """
-        if self.ledger.trading_paused:
-            raise TradingHalted()
-        if self.onboarded is not None and not self.onboarded(owner):
-            raise NotOnboarded(owner)
+        self._check_gate(owner)
         now = self.sched.now()
         order = Order(self._next_order_id, owner, side, price, qty, now, kind)
         self._next_order_id += 1
@@ -269,6 +274,42 @@ class Exchange:
 
     def cancel(self, order_id: int) -> bool:
         return self.book.cancel(order_id)
+
+    def requote(
+        self, owner: str, cancel_ids: list[int], quotes: list[tuple[str, int, int]]
+    ) -> list[int]:
+        """Cancel the given orders, then place each (side, qty, price) limit quote.
+
+        The same as cancel() for each id followed by place() for each quote,
+        down to order ids, queue positions and trades, with the halt and the
+        onboarding checked once, before anything changes.  A quote that
+        reaches the opposite best price goes through place() and may trade;
+        any other would match nothing, so it rests directly.  Returns the ids
+        of the quotes left resting.
+        """
+        self._check_gate(owner)
+        book = self.book
+        for order_id in cancel_ids:
+            book.cancel(order_id)
+        now = self.sched.now()
+        resting: list[int] = []
+        for side, qty, price in quotes:
+            if book.crosses(side, price):
+                order_id = self.place(owner, side, qty, price)[1]
+                if order_id is not None:
+                    resting.append(order_id)
+                continue
+            order = Order(self._next_order_id, owner, side, price, qty, now, "limit")
+            self._next_order_id += 1
+            book.rest(order)
+            resting.append(order.order_id)
+        return resting
+
+    def _check_gate(self, owner: str) -> None:
+        if self.ledger.trading_paused:
+            raise TradingHalted()
+        if self.onboarded is not None and not self.onboarded(owner):
+            raise NotOnboarded(owner)
 
     def _record_trade(self, trade: Trade) -> None:
         self.trade_count += 1

@@ -258,11 +258,11 @@ class Ledger:
         self.height += 1
         batch = self._queue[: self.max_txs_per_block]
         self._queue = self._queue[self.max_txs_per_block :]
-        receipts: list[tuple[Tx, Receipt]] = []
+        receipts: list[tuple[Optional[Callable[[Receipt], None]], Receipt]] = []
         tx_rows: list[list] = []
         for tx in batch:
             receipt = self._execute(tx)
-            receipts.append((tx, receipt))
+            receipts.append((tx.on_receipt, receipt))
             tx_rows.append(
                 [tx.kind, tx.sender, "ok" if receipt.accepted else receipt.reason]
             )
@@ -279,29 +279,34 @@ class Ledger:
                 "reserve": self.attested_reserve,
             },
         )
-        if receipts:
-            if self._jitter_rng is None:
+        # Only receipts with a callback get a confirmation event; the rest
+        # would fire one that calls nothing.
+        if self._jitter_rng is None:
+            due = [item for item in receipts if item[0] is not None]
+            if due:
                 self.sched.schedule(
                     now + self.commit_latency_ms, 2, "confirmations",
-                    lambda r=receipts: self._confirm(r),
+                    lambda r=due: self._confirm(r),
                 )
-            else:
-                j = self.commit_jitter_ms
-                buckets: dict[int, list[tuple[Tx, Receipt]]] = {}
-                for item in receipts:
-                    offset = self._jitter_rng.randrange(-j, j + 1, 25)
+        else:
+            j = self.commit_jitter_ms
+            buckets: dict[int, list] = {}
+            for item in receipts:
+                # Drawn for every receipt, so the stream does not depend on
+                # which txs carry a callback.
+                offset = self._jitter_rng.randrange(-j, j + 1, 25)
+                if item[0] is not None:
                     buckets.setdefault(offset, []).append(item)
-                for offset, group in sorted(buckets.items()):
-                    self.sched.schedule(
-                        now + self.commit_latency_ms + offset, 2, "confirmations",
-                        lambda r=group: self._confirm(r),
-                    )
+            for offset, group in sorted(buckets.items()):
+                self.sched.schedule(
+                    now + self.commit_latency_ms + offset, 2, "confirmations",
+                    lambda r=group: self._confirm(r),
+                )
 
     @staticmethod
-    def _confirm(receipts: list[tuple[Tx, Receipt]]) -> None:
-        for tx, receipt in receipts:
-            if tx.on_receipt is not None:
-                tx.on_receipt(receipt)
+    def _confirm(receipts: list[tuple[Callable[[Receipt], None], Receipt]]) -> None:
+        for on_receipt, receipt in receipts:
+            on_receipt(receipt)
 
     def _execute(self, tx: Tx) -> Receipt:
         if tx.kind == "mint":

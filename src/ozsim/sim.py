@@ -166,9 +166,14 @@ class Scheduler:
         return fired
 
 
+# json.dumps(record, sort_keys=True, separators=(",", ":")) builds an encoder
+# per call; this one, built once with the same settings, writes the same bytes.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_line(record: dict) -> str:
     """Canonical one-line JSON encoding used for log bytes and digests."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(record)
 
 
 class EventLog:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ozsim.exchange import ASK, BID, EmptySide, Exchange, NotOnboarded, TradingHalted
 from ozsim.ledger import Ledger
@@ -180,3 +181,115 @@ class TestSettlement:
         sched.run_until(2000)
         assert ledger.total_supply == supply_before
         assert sum(ledger.balances.values()) == supply_before
+
+
+def book_state(ex):
+    """Every level's FIFO, best price first, as (order_id, owner, qty, remaining, placed_at)."""
+    book = ex.book
+    state = {}
+    for side in (BID, ASK):
+        prices = book._prices[side]
+        ordered = reversed(prices) if side == BID else prices
+        state[side] = [
+            (price, [(o.order_id, o.owner, o.qty, o.remaining, o.placed_at)
+                     for o in book._levels[side][price]])
+            for price in ordered
+        ]
+    return state, sorted(book._orders)
+
+
+_sides = st.sampled_from([BID, ASK])
+_qtys = st.integers(1, 10)
+_prices = st.integers(95, 105)  # a narrow grid, so quotes collide and cross
+_setup_op = st.one_of(
+    st.tuples(st.just("limit"), st.sampled_from(["u1", "u2", "mm"]), _sides, _qtys, _prices),
+    st.tuples(st.just("market"), st.sampled_from(["u1", "u2", "mm"]), _sides, _qtys),
+    st.tuples(st.just("cancel"), st.integers(1, 40)),
+)
+
+
+class TestRequote:
+    def _twin(self, setup):
+        """An exchange after the setup ops, its trade listener's calls, and
+        the ids the market maker's limit orders got."""
+        sched, ledger, ex = make_exchange()
+        sched.run_until(1_000)
+        seen = []
+        ex.on_trade(seen.append)
+        mm_ids = []
+        for op in setup:
+            if op[0] == "limit":
+                _, owner, side, qty, price = op
+                ex.place(owner, side, qty, price)
+                if owner == "mm":  # resting or not
+                    mm_ids.append(ex._next_order_id - 1)
+            elif op[0] == "market":
+                _, owner, side, qty = op
+                ex.place(owner, side, qty, kind="market")
+            else:
+                ex.cancel(op[1])
+        sched.run_until(2_000)
+        return ex, seen, mm_ids
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        setup=st.lists(_setup_op, max_size=25),
+        stale=st.lists(st.integers(1, 45), max_size=4),
+        quotes=st.lists(st.tuples(_sides, _qtys, _prices), max_size=10),
+    )
+    def test_requote_equals_cancel_then_place(self, setup, stale, quotes):
+        a, a_seen, mm_ids = self._twin(setup)
+        b, b_seen, _ = self._twin(setup)
+        # the maker's orders (some filled or cancelled since) and ids that
+        # may rest, may be gone or were never used
+        cancel_ids = mm_ids + stale
+        got = a.requote("mm", cancel_ids, quotes)
+        for order_id in cancel_ids:
+            b.cancel(order_id)
+        expected = []
+        for side, qty, price in quotes:
+            _, order_id = b.place("mm", side, qty, price)
+            if order_id is not None:
+                expected.append(order_id)
+        assert got == expected
+        assert book_state(a) == book_state(b)
+        assert a_seen == b_seen
+        assert a._next_order_id == b._next_order_id
+        assert a._flows == b._flows
+        assert a.log.digest() == b.log.digest()
+
+    def test_quote_inside_the_spread_rests_without_matching(self):
+        _, _, ex = make_exchange()
+        ex.place("alice", ASK, to_micro(5), px(2401.0))
+        ex.book.match = None  # a call would raise
+        ids = ex.requote("mm", [], [(BID, to_micro(1), px(2400.0)),
+                                    (ASK, to_micro(1), px(2402.0))])
+        assert ids == [2, 3]
+        assert ex.book.best_bid() == px(2400.0)
+
+    def test_crossing_quote_trades_with_resting_user_order(self):
+        _, _, ex = make_exchange()
+        ex.place("alice", ASK, to_micro(5), px(2401.0))
+        ids = ex.requote("mm", [], [(BID, to_micro(2), px(2401.0))])
+        assert ids == []
+        assert ex.trade_count == 1
+        assert ex.book.resting_qty(ASK) == to_micro(3)
+
+    def test_halted_requote_raises_and_leaves_book_unchanged(self):
+        _, ledger, ex = make_exchange()
+        _, resting = ex.place("mm", BID, to_micro(10), px(2399.0))
+        ex.place("alice", ASK, to_micro(10), px(2401.0))
+        before, next_id = book_state(ex), ex._next_order_id
+        ledger.trip_breaker(0, "test")
+        with pytest.raises(TradingHalted):
+            ex.requote("mm", [resting], [(BID, to_micro(10), px(2401.0))])
+        assert book_state(ex) == before
+        assert ex._next_order_id == next_id
+        assert ex.trade_count == 0
+
+    def test_requote_checks_onboarding(self):
+        _, _, ex = make_exchange(onboarded=lambda owner: owner != "stranger")
+        _, resting = ex.place("mm", BID, to_micro(10), px(2399.0))
+        with pytest.raises(NotOnboarded):
+            ex.requote("stranger", [resting], [(BID, to_micro(1), px(2398.0))])
+        assert ex.book.best_bid() == px(2399.0)

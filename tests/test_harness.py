@@ -112,6 +112,41 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown action"):
             load_config({**MINIMAL, "governance_schedule": [{"action": "coup"}]})
 
+    @pytest.mark.parametrize("think", [0, -5.0])
+    def test_closed_loop_needs_positive_think_time(self, think):
+        with pytest.raises(ConfigError, match=r"scenario\.think_time_ms: must be positive"):
+            load_config({**MINIMAL, "load_model": "closed", "think_time_ms": think})
+        assert tiny_config(think_time_ms=think).think_time_ms == think  # open loop: unread
+
+    def test_risk_phase_must_not_be_negative(self):
+        with pytest.raises(ConfigError, match=r"scenario\.risk\.phase_ms: must not be negative"):
+            load_config({**MINIMAL, "risk": {"phase_ms": -1}})
+        assert tiny_config(risk={"phase_ms": 0}).risk.phase_ms == 0
+
+    PROPOSAL = {"action": "param_proposal", "param": "fee_rate", "value": 0.001,
+                "propose_at_ms": 1_000}
+    UPDATE = {"action": "agent_update", "agent": "market-maker", "version": "v2",
+              "signers": ["signer-1", "signer-2"], "sign_at_ms": [1_000, 2_000]}
+
+    @pytest.mark.parametrize("schedule, entry, key", [
+        ("ops_schedule", {"action": "clear_risk_alert", "at_ms": 1000.5}, "at_ms"),
+        ("ops_schedule", {"action": "deposit_physical", "at_ms": -1, "amount_oz": 1.0}, "at_ms"),
+        ("governance_schedule", {"action": "unpause", "at_ms": "5000"}, "at_ms"),
+        ("governance_schedule", {**PROPOSAL, "propose_at_ms": 1000.0}, "propose_at_ms"),
+        ("governance_schedule", {**PROPOSAL, "vote_at_ms": True}, "vote_at_ms"),
+        ("governance_schedule", {**PROPOSAL, "execute_at_ms": -1}, "execute_at_ms"),
+        ("governance_schedule", {**UPDATE, "sign_at_ms": [1_000, 2000.5]}, "sign_at_ms"),
+        ("governance_schedule", {**UPDATE, "sign_at_ms": 1_000}, "sign_at_ms"),
+    ])
+    def test_schedule_times_must_be_non_negative_integers(self, schedule, entry, key):
+        with pytest.raises(ConfigError, match=rf"scenario\.{schedule}\[0\]\.{key}: must be"):
+            load_config({**MINIMAL, schedule: [entry]})
+
+    def test_valid_schedule_times_accepted(self):
+        config = tiny_config(governance_schedule=[self.PROPOSAL, self.UPDATE],
+                             ops_schedule=[{"action": "clear_risk_alert", "at_ms": 0}])
+        assert len(config.governance_schedule) == 2
+
     def test_bundled_scenarios_all_parse(self):
         names = bundled_scenario_names()
         assert {"baseline-24h", "table1-oracle", "table1-vault",
