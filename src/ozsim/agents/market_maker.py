@@ -25,6 +25,7 @@ from .issuance import IssuanceAgent
 
 MM_ADDRESS = "mm"
 COLD_ADDRESS = "mm-cold"
+QUOTE_MS = 1000  # one quote cycle a second: vol_window_s counts cycles
 
 
 # Every finite float times 2**RETURN_SHIFT is an exact integer.
@@ -153,10 +154,9 @@ class MarketMakerAgent:
 
     # -- quoting ------------------------------------------------------------------
 
-    def start(self, interval_ms: int = 1000) -> None:
-        self.sched.every(
-            interval_ms, interval_ms, 3, "mm_quote", lambda: self.quote_cycle(self.sched.now())
-        )
+    def start(self) -> None:
+        self.sched.every(QUOTE_MS, QUOTE_MS, 3, "mm_quote",
+                         lambda: self.quote_cycle(self.sched.now()))
 
     def quote_cycle(self, now: int) -> None:
         ref = self.oracle.reference_price()

@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
+from ..config import ScenarioConfig
 from ..exchange import ASK, BID, Exchange, NotOnboarded, TradingHalted
 from ..ledger import Ledger
+from ..oracle import OracleHub
 from ..sim import EventLog, RngStream, Scheduler
 from .compliance import APPROVED, ComplianceAgent, ComplianceDecision, MANUAL_REVIEW, UserProfile
 from .issuance import IssuanceAgent, WorkflowResult
@@ -71,14 +73,9 @@ class Orchestrator:
         issuance: IssuanceAgent,
         risk: RiskAgent,
         rng: RngStream,
-        oracle=None,
-        pre_trade_mean_ms: float = 275.0,
-        pre_trade_sigma_ms: float = 50.0,
-        order_style: str = "market",  # market | mixed (limit flow around mid)
-        order_expiry_ms: int = 5000,
-        limit_offset_bps: tuple[float, float] = (-10.0, 20.0),
+        oracle: OracleHub,
+        config: ScenarioConfig,
         on_report: Optional[Callable[[WorkflowReport], None]] = None,
-        log_workflows: bool = False,
     ):
         self.sched = sched
         self.log = log
@@ -89,13 +86,8 @@ class Orchestrator:
         self.risk = risk
         self.rng = rng
         self.oracle = oracle
-        self.pre_trade_mean_ms = pre_trade_mean_ms
-        self.pre_trade_sigma_ms = pre_trade_sigma_ms
-        self.order_style = order_style
-        self.order_expiry_ms = order_expiry_ms
-        self.limit_offset_bps = limit_offset_bps
+        self.config = config
         self.on_report = on_report
-        self.log_workflows = log_workflows
         self.users: dict[str, UserState] = {}
         self.platform_addresses: set[str] = set()
         self._maker_contexts: dict[int, _OrderFlow] = {}
@@ -118,7 +110,7 @@ class Orchestrator:
         return state.holdings if state else 0
 
     def _report(self, report: WorkflowReport) -> None:
-        if self.log_workflows or not report.ok:
+        if self.config.log_workflows or not report.ok:
             self.log.append(
                 report.finished_at, "orchestrator", "workflow",
                 {"kind": report.kind, "user": report.user, "status": report.status,
@@ -183,9 +175,9 @@ class Orchestrator:
             self.sched.schedule_in(wait, 2, "admission", admitted)
 
     def _pre_trade_delay(self) -> int:
-        if self.pre_trade_sigma_ms <= 0:
-            return max(PRE_TRADE_MIN_MS, round(self.pre_trade_mean_ms))
-        draw = self.rng.gauss(self.pre_trade_mean_ms, self.pre_trade_sigma_ms)
+        if self.config.pre_trade_sigma_ms <= 0:
+            return max(PRE_TRADE_MIN_MS, round(self.config.pre_trade_mean_ms))
+        draw = self.rng.gauss(self.config.pre_trade_mean_ms, self.config.pre_trade_sigma_ms)
         return max(PRE_TRADE_MIN_MS, round(draw))
 
     def _watch_maker_fills(self, trade) -> None:
@@ -204,7 +196,7 @@ class Orchestrator:
         configured range sets the marketable share of the flow.
         """
         ref = self.oracle.reference_price()
-        lo, hi = self.limit_offset_bps
+        lo, hi = self.config.limit_offset_bps
         offset = self.rng.uniform(lo / 10_000, hi / 10_000)
         if side == BID:
             return round(ref * (1 + offset))
@@ -294,7 +286,7 @@ class _OrderFlow:
         self.now = orch.sched.now()
         side = BID if kind == BUY else ASK
         try:
-            if orch.order_style == "mixed" and orch.oracle is not None:
+            if orch.config.order_style == "mixed":
                 trades, resting = orch.exchange.place(
                     user, side, amount, price=orch._limit_price(side), kind="limit"
                 )
@@ -318,7 +310,7 @@ class _OrderFlow:
             orch.exchange.wait_settlement(user, other, self.settled)
         if resting is not None:
             orch._maker_contexts[resting] = self
-            orch.sched.schedule_in(orch.order_expiry_ms, 2, "order_expiry", self.expire)
+            orch.sched.schedule_in(orch.config.order_expiry_ms, 2, "order_expiry", self.expire)
 
     def settled(self, _t: int) -> None:
         self.complete(COMPLETED)

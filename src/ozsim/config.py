@@ -1,18 +1,21 @@
 """Scenario configuration: a strict, JSON-compatible object model.
 
 Unknown keys are rejected at every nesting level with field-path messages so a
-typo in a scenario file fails loudly instead of silently using a default.
+typo in a scenario file fails loudly instead of silently using a default, and
+every value is checked against its field's annotation.
 Bundled scenarios live under ozsim/scenarios/ and are addressable by name.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, NewType, Optional, Union, get_args, get_origin, get_type_hints
 
+from .ledger import PARAM_DEFAULTS
 from .oracle import PRIMARY, SECONDARY
 
 
@@ -20,6 +23,10 @@ class ConfigError(Exception):
     def __init__(self, messages: list[str]):
         self.messages = messages
         super().__init__("; ".join(messages))
+
+
+# A simulated time or duration in milliseconds: an integer, never negative.
+NonNegativeInt = NewType("NonNegativeInt", int)
 
 
 @dataclass
@@ -87,8 +94,8 @@ class ComplianceSpec:
 class FaultSpec:
     target: str  # oracle | vault
     kind: str  # stuck | spoofed | misreport
-    start_ms: int
-    duration_ms: int
+    start_ms: NonNegativeInt
+    duration_ms: NonNegativeInt
     feed: str = "primary"
     magnitude: float = 0.0
 
@@ -101,6 +108,58 @@ class BurstSpec:
     size_oz: float = 2.0
 
 
+# Schedule entries: the action value picks the class; its fields are the keys.
+@dataclass(kw_only=True)
+class ParamProposal:
+    action: str = "param_proposal"
+    param: str
+    value: float
+    propose_at_ms: NonNegativeInt
+    timelock_ms: Optional[NonNegativeInt] = None  # None: the governance default
+    votes: list[tuple[str, bool]] = field(default_factory=list)  # (voter, support)
+    vote_at_ms: Optional[NonNegativeInt] = None  # None: a second after the proposal
+    execute_at_ms: Optional[NonNegativeInt] = None  # None: never executed
+
+    def __post_init__(self):
+        if self.vote_at_ms is None:
+            self.vote_at_ms = self.propose_at_ms + 1000
+        if any(t is not None and t < self.propose_at_ms
+               for t in (self.vote_at_ms, self.execute_at_ms)):
+            raise ValueError("vote_at_ms and execute_at_ms must not precede propose_at_ms")
+
+
+@dataclass(kw_only=True)
+class AgentUpdate:
+    action: str = "agent_update"
+    agent: str
+    version: str
+    signers: list[str]
+    sign_at_ms: list[NonNegativeInt]  # one per signer; the first signature proposes
+
+    def __post_init__(self):
+        if len(self.signers) != len(self.sign_at_ms):
+            raise ValueError("signers and sign_at_ms differ in length")
+
+
+@dataclass(kw_only=True)
+class Unpause:
+    action: str = "unpause"
+    at_ms: NonNegativeInt
+
+
+@dataclass(kw_only=True)
+class ClearRiskAlert:
+    action: str = "clear_risk_alert"
+    at_ms: NonNegativeInt
+
+
+@dataclass(kw_only=True)
+class DepositPhysical:
+    action: str = "deposit_physical"
+    at_ms: NonNegativeInt
+    amount_oz: float
+
+
 @dataclass
 class ScenarioConfig:
     name: str
@@ -108,8 +167,8 @@ class ScenarioConfig:
     duration_ms: int
     description: str = ""
     block_interval_ms: int = 1000
-    commit_latency_ms: int = 300
-    commit_jitter_ms: int = 0
+    commit_latency_ms: NonNegativeInt = 300
+    commit_jitter_ms: NonNegativeInt = 0
     max_txs_per_block: int = 100_000
     user_count: int = 0
     user_arrival_hz: float = 0.0
@@ -122,8 +181,8 @@ class ScenarioConfig:
     think_time_ms: float = 500.0
     prefund_oz: float = 0.0
     order_style: str = "market"  # market | mixed
-    order_expiry_ms: int = 5000
-    limit_offset_bps: list[float] = field(default_factory=lambda: [-10.0, 20.0])
+    order_expiry_ms: NonNegativeInt = 5000
+    limit_offset_bps: tuple[float, float] = field(default_factory=lambda: [-10.0, 20.0])
     pre_trade_mean_ms: float = 275.0
     pre_trade_sigma_ms: float = 50.0
     price: PriceSpec = field(default_factory=PriceSpec)
@@ -136,8 +195,9 @@ class ScenarioConfig:
     compliance: ComplianceSpec = field(default_factory=ComplianceSpec)
     params: dict[str, float] = field(default_factory=dict)
     fault_schedule: list[FaultSpec] = field(default_factory=list)
-    governance_schedule: list[dict] = field(default_factory=list)
-    ops_schedule: list[dict] = field(default_factory=list)
+    governance_schedule: list[Union[ParamProposal, AgentUpdate, Unpause]] = field(
+        default_factory=list)
+    ops_schedule: list[Union[ClearRiskAlert, DepositPhysical]] = field(default_factory=list)
     issue_burst: Optional[BurstSpec] = None
     checks: list[str] = field(default_factory=list)
     sample_interval_ms: int = 1000
@@ -152,75 +212,71 @@ class ScenarioConfig:
         return data
 
 
-_NESTED = {
-    "order_size": SizeSpec,
-    "price": PriceSpec,
-    "mm": MMSpec,
-    "risk": RiskSpec,
-    "issuance": IssuanceSpec,
-    "compliance": ComplianceSpec,
-    "issue_burst": BurstSpec,
-}
-
 _FAULT_KINDS = {"oracle": ("stuck", "spoofed"), "vault": ("misreport",)}
 
-_NESTED_LISTS = {
-    "regimes": RegimeSpec,
-    "fault_schedule": FaultSpec,
-}
 
-_GOV_ACTION_KEYS = {
-    "param_proposal": {
-        "action", "propose_at_ms", "param", "value", "timelock_ms",
-        "votes", "vote_at_ms", "execute_at_ms",
-    },
-    "agent_update": {"action", "agent", "version", "signers", "sign_at_ms"},
-    "unpause": {"action", "at_ms"},
-}
+@cache
+def _fields(cls) -> dict:
+    """name -> (field, annotation, the spec or Union of specs inside it or None)."""
+    hints = get_type_hints(cls)
+    plan = {}
+    for f in fields(cls):
+        tp = hints[f.name]
+        item = get_args(tp)[0] if get_origin(tp) in (list, Union) else tp
+        plan[f.name] = (f, tp, item if is_dataclass(item) or get_origin(item) is Union else None)
+    return plan
 
-_OPS_ACTION_KEYS = {
-    "clear_risk_alert": {"action", "at_ms"},
-    "deposit_physical": {"action", "at_ms", "amount_oz"},
-}
+
+def _fits(tp, value: Any) -> bool:
+    """Whether a JSON value fits annotation tp; a bool is no number, a tuple an array."""
+    if tp in (int, str, bool):
+        return type(value) is tp
+    if tp is float:
+        return type(value) is float or type(value) is int
+    if tp is NonNegativeInt:
+        return type(value) is int and value >= 0
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:  # Optional[X]
+        return value is None or _fits(args[0], value)
+    if origin is list:
+        return type(value) is list and all(_fits(args[0], v) for v in value)
+    if origin is tuple:
+        return type(value) is list and len(value) == len(args) and all(map(_fits, args, value))
+    return type(value) is dict and all(_fits(args[1], v) for v in value.values())  # dict[str, X]
 
 
 def _build(cls, data: Any, path: str, errors: list[str]):
-    import dataclasses
-
+    """Build spec cls from data, checking each key against its annotation.
+    A Union of specs is a schedule entry, whose action value picks the class."""
     if not isinstance(data, dict):
         errors.append(f"{path}: expected an object, got {type(data).__name__}")
         return None
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    if get_origin(cls) is Union:
+        action = data.get("action")
+        cls = next((c for c in get_args(cls) if c.action == action), None)
+        if cls is None:
+            errors.append(f"{path}.action: unknown action {action!r}")
+            return None
+    plan = _fields(cls)
     kwargs = {}
     for key, value in data.items():
-        if key not in fields:
+        if key not in plan:
             errors.append(f"{path}.{key}: unknown key")
             continue
-        if key in _NESTED:
-            if value is None and fields[key].default is None:
-                kwargs[key] = None  # an optional spec left out
-                continue
-            built = _build(_NESTED[key], value, f"{path}.{key}", errors)
-            if built is not None:
-                kwargs[key] = built
-        elif key in _NESTED_LISTS:
-            if not isinstance(value, list):
-                errors.append(f"{path}.{key}: expected a list")
-                continue
-            items = []
-            for i, item in enumerate(value):
-                built = _build(_NESTED_LISTS[key], item, f"{path}.{key}[{i}]", errors)
-                if built is not None:
-                    items.append(built)
-            kwargs[key] = items
+        f, tp, spec = plan[key]
+        if spec is None and not _fits(tp, value):
+            errors.append(f"{path}.{key}: must be {f.type}, got {value!r}")
+        elif spec is None or value is None and f.default is None:
+            kwargs[key] = value  # a plain value, or an optional spec left out
+        elif get_origin(tp) is not list:
+            kwargs[key] = _build(spec, value, f"{path}.{key}", errors)
+        elif isinstance(value, list):
+            kwargs[key] = [_build(spec, v, f"{path}.{key}[{i}]", errors)
+                           for i, v in enumerate(value)]
         else:
-            kwargs[key] = value
-    for name, f in fields.items():
-        if (
-            name not in kwargs
-            and f.default is dataclasses.MISSING
-            and f.default_factory is dataclasses.MISSING
-        ):
+            errors.append(f"{path}.{key}: expected a list")
+    for name, (f, _, _) in plan.items():
+        if name not in data and f.default is MISSING and f.default_factory is MISSING:
             errors.append(f"{path}.{name}: missing required key")
     if errors:
         return None
@@ -231,45 +287,14 @@ def _build(cls, data: Any, path: str, errors: list[str]):
         return None
 
 
-_SCHEDULE_TIME_KEYS = {"at_ms", "propose_at_ms", "vote_at_ms", "execute_at_ms"}
-
-
-def _is_time(value: Any) -> bool:
-    """A non-negative integer millisecond; a bool is not one."""
-    return type(value) is int and value >= 0
-
-
-def _validate_schedule(entries, key_table, path, errors):
-    for i, entry in enumerate(entries or []):
-        if not isinstance(entry, dict) or "action" not in entry:
-            errors.append(f"{path}[{i}]: expected an object with an 'action' key")
-            continue
-        action = entry["action"]
-        allowed = key_table.get(action)
-        if allowed is None:
-            errors.append(f"{path}[{i}].action: unknown action {action!r}")
-            continue
-        for k, value in entry.items():
-            if k not in allowed:
-                errors.append(f"{path}[{i}].{k}: unknown key for {action}")
-            elif k in _SCHEDULE_TIME_KEYS and not _is_time(value):
-                errors.append(f"{path}[{i}].{k}: must be a non-negative integer, got {value!r}")
-            elif k == "sign_at_ms" and not (
-                isinstance(value, list) and all(map(_is_time, value))
-            ):
-                errors.append(f"{path}[{i}].{k}: must be a list of non-negative integers, "
-                              f"got {value!r}")
-
-
 def load_config(data: dict) -> ScenarioConfig:
     errors: list[str] = []
     config = _build(ScenarioConfig, data, "scenario", errors)
     if config is not None:
-        _validate_schedule(config.governance_schedule, _GOV_ACTION_KEYS, "scenario.governance_schedule", errors)
-        _validate_schedule(config.ops_schedule, _OPS_ACTION_KEYS, "scenario.ops_schedule", errors)
         positive = {
             "duration_ms": config.duration_ms,
             "block_interval_ms": config.block_interval_ms,
+            "max_txs_per_block": config.max_txs_per_block,
             "sample_interval_ms": config.sample_interval_ms,
             "attestation_interval_ms": config.attestation_interval_ms,
             "risk.cycle_ms": config.risk.cycle_ms,
@@ -292,6 +317,9 @@ def load_config(data: dict) -> ScenarioConfig:
             unknown = set(config.action_mix) - {"buy", "sell", "issue", "redeem"}
             if unknown:
                 errors.append(f"scenario.action_mix: unknown actions {sorted(unknown)}")
+        unknown = set(config.params) - set(PARAM_DEFAULTS)
+        if unknown:
+            errors.append(f"scenario.params: unknown ledger parameters {sorted(unknown)}")
         if config.load_model not in ("open", "closed"):
             errors.append(f"scenario.load_model: {config.load_model!r} is not open|closed")
         if config.order_style not in ("market", "mixed"):
@@ -308,6 +336,13 @@ def load_config(data: dict) -> ScenarioConfig:
             if fault.feed not in (PRIMARY, SECONDARY):
                 errors.append(f"scenario.fault_schedule[{i}].feed: {fault.feed!r} "
                               f"is not {PRIMARY}|{SECONDARY}")
+        burst = config.issue_burst
+        if burst is not None:
+            if not 0 <= burst.window_start_ms <= burst.window_end_ms <= config.duration_ms:
+                errors.append("scenario.issue_burst: window must run forward "
+                              "within [0, duration_ms]")
+            if burst.count > 0 and config.user_count == 0:
+                errors.append("scenario.issue_burst: needs user_count > 0")
     if errors:
         raise ConfigError(errors)
     return config

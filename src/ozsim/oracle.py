@@ -18,6 +18,7 @@ from .units import to_micro
 
 PRIMARY = "primary"
 SECONDARY = "secondary"
+STEP_MS = 1000  # one price step a second: drift_per_s and sigma_per_s are per step
 
 
 class UnknownFeed(Exception):
@@ -121,9 +122,9 @@ class OracleHub:
         self.active_feed = PRIMARY
         self.true_price = p
 
-    def start(self, interval_ms: int = 1000) -> None:
+    def start(self) -> None:
         self.sched.every(
-            self.sched.now() + interval_ms, interval_ms, 2, "oracle_step",
+            self.sched.now() + STEP_MS, STEP_MS, 2, "oracle_step",
             lambda: self.step(self.sched.now()),
         )
 

@@ -17,7 +17,7 @@ from .agents.issuance import ISSUER_ADDRESS, IssuanceAgent
 from .agents.market_maker import COLD_ADDRESS, MM_ADDRESS, MarketMakerAgent
 from .agents.orchestrator import BUY, ISSUE, Orchestrator, REDEEM, SELL, UserState
 from .agents.risk import RiskAgent
-from .config import ScenarioConfig
+from .config import AgentUpdate, ClearRiskAlert, ParamProposal, ScenarioConfig, Unpause
 from .exchange import Exchange
 from .governance import Governance
 from .ledger import Ledger, ParamStore
@@ -190,15 +190,8 @@ class Simulation:
         self.orchestrator = Orchestrator(
             self.sched, self.log, self.ledger, self.exchange,
             self.compliance, self.issuance, self.risk,
-            self.sched.fork_rng("orchestration"),
-            oracle=self.oracle,
-            pre_trade_mean_ms=config.pre_trade_mean_ms,
-            pre_trade_sigma_ms=config.pre_trade_sigma_ms,
-            order_style=config.order_style,
-            order_expiry_ms=config.order_expiry_ms,
-            limit_offset_bps=tuple(config.limit_offset_bps),
+            self.sched.fork_rng("orchestration"), self.oracle, config,
             on_report=self._on_report,
-            log_workflows=config.log_workflows,
         )
         for addr in (MM_ADDRESS, COLD_ADDRESS, ISSUER_ADDRESS):
             self.orchestrator.register_platform(addr)
@@ -262,74 +255,65 @@ class Simulation:
             )
 
     def _schedule_faults(self) -> None:
+        now = self.sched.now
         for fault in self.config.fault_schedule:
             if fault.target == "oracle":
-                self.sched.schedule(
-                    fault.start_ms, 4, "fault_on",
-                    lambda f=fault: self.oracle.inject_fault(
-                        f.feed, f.kind, self.sched.now(), offset_fraction=f.magnitude
-                    ),
-                )
-                self.sched.schedule(
-                    fault.start_ms + fault.duration_ms, 4, "fault_off",
-                    lambda f=fault: self.oracle.restore(f.feed, self.sched.now()),
-                )
+                on, off = (lambda f=fault: self.oracle.inject_fault(
+                               f.feed, f.kind, now(), offset_fraction=f.magnitude),
+                           lambda f=fault: self.oracle.restore(f.feed, now()))
             else:
-                self.sched.schedule(
-                    fault.start_ms, 4, "fault_on",
-                    lambda f=fault: self.vault.inject_misreport(f.magnitude, self.sched.now()),
-                )
-                self.sched.schedule(
-                    fault.start_ms + fault.duration_ms, 4, "fault_off",
-                    lambda f=fault: self.vault.restore(self.sched.now()),
-                )
+                on, off = (lambda f=fault: self.vault.inject_misreport(f.magnitude, now()),
+                           lambda: self.vault.restore(now()))
+            self.sched.schedule(fault.start_ms, 4, "fault_on", on)
+            self.sched.schedule(fault.start_ms + fault.duration_ms, 4, "fault_off", off)
 
-    def _schedule_governance(self) -> None:
-        for entry in self.config.governance_schedule:
-            action = entry["action"]
-            if action == "param_proposal":
+    def _schedule_actions(self) -> None:
+        """The governance schedule, then the ops schedule, each in file order."""
+        now = self.sched.now
+        for entry in self.config.governance_schedule + self.config.ops_schedule:
+            if isinstance(entry, ParamProposal):
                 self._schedule_param_proposal(entry)
-            elif action == "agent_update":
+            elif isinstance(entry, AgentUpdate):
                 self._schedule_agent_update(entry)
-            elif action == "unpause":
-                self.sched.schedule(
-                    entry["at_ms"], 2, "gov_unpause",
-                    lambda: self.governance.governance_unpause(self.sched.now()),
-                )
+            elif isinstance(entry, Unpause):
+                self.sched.schedule(entry.at_ms, 2, "gov_unpause",
+                                    lambda: self.governance.governance_unpause(now()))
+            elif isinstance(entry, ClearRiskAlert):
+                self.sched.schedule(entry.at_ms, 2, "ops_clear",
+                                    lambda: self.risk.request_clear(now()))
+            else:
+                self.sched.schedule(entry.at_ms, 2, "ops_deposit", lambda e=entry:
+                                    self.vault.deposit_physical(to_micro(e.amount_oz)))
 
-    def _schedule_param_proposal(self, entry: dict) -> None:
+    def _schedule_param_proposal(self, entry: ParamProposal) -> None:
         holder: dict = {}
 
         def propose() -> None:
             holder["proposal"] = self.governance.propose_param(
-                entry["param"], entry["value"], self.sched.now(),
-                timelock_ms=entry.get("timelock_ms"),
+                entry.param, entry.value, self.sched.now(), timelock_ms=entry.timelock_ms,
             )
 
         def vote() -> None:
-            for voter, support in entry.get("votes", []):
+            for voter, support in entry.votes:
                 self.governance.vote(holder["proposal"], voter, support)
 
         def execute() -> None:
             self.governance.submit_execute_tx(holder["proposal"])
 
-        propose_at = entry["propose_at_ms"]
-        self.sched.schedule(propose_at, 2, "gov_propose", propose)
-        self.sched.schedule(entry.get("vote_at_ms", propose_at + 1000), 2, "gov_vote", vote)
-        if "execute_at_ms" in entry:
-            self.sched.schedule(entry["execute_at_ms"], 2, "gov_execute", execute)
+        self.sched.schedule(entry.propose_at_ms, 2, "gov_propose", propose)
+        self.sched.schedule(entry.vote_at_ms, 2, "gov_vote", vote)
+        if entry.execute_at_ms is not None:
+            self.sched.schedule(entry.execute_at_ms, 2, "gov_execute", execute)
 
-    def _schedule_agent_update(self, entry: dict) -> None:
+    def _schedule_agent_update(self, entry: AgentUpdate) -> None:
         holder: dict = {}
 
         def propose_and_sign(signer: str) -> None:
             if "proposal" not in holder:
-                holder["proposal"] = self.governance.propose_update(
-                    entry["agent"], entry["version"]
-                )
+                holder["proposal"] = self.governance.propose_update(entry.agent, entry.version)
             self.governance.sign_update(holder["proposal"], signer)
 
-        for signer, at_ms in zip(entry["signers"], entry["sign_at_ms"]):
+        for signer, at_ms in zip(entry.signers, entry.sign_at_ms):
             self.sched.schedule(
                 at_ms, 2, "gov_sign", lambda s=signer: propose_and_sign(s)
             )
@@ -343,19 +327,6 @@ class Simulation:
                     self.sched.now(), "ledger", "state_snapshot", self.ledger.snapshot()
                 ),
             )
-
-    def _schedule_ops(self) -> None:
-        for entry in self.config.ops_schedule:
-            if entry["action"] == "clear_risk_alert":
-                self.sched.schedule(
-                    entry["at_ms"], 2, "ops_clear",
-                    lambda: self.risk.request_clear(self.sched.now()),
-                )
-            elif entry["action"] == "deposit_physical":
-                self.sched.schedule(
-                    entry["at_ms"], 2, "ops_deposit",
-                    lambda e=entry: self.vault.deposit_physical(to_micro(e["amount_oz"])),
-                )
 
     # -- execution ------------------------------------------------------------
 
@@ -373,8 +344,7 @@ class Simulation:
         self._schedule_onboarding()
         self._schedule_burst()
         self._schedule_faults()
-        self._schedule_governance()
-        self._schedule_ops()
+        self._schedule_actions()
         self._schedule_snapshots()
         self.sched.run_until(config.duration_ms)
         return self.log.digest()

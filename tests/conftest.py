@@ -7,7 +7,7 @@ from ozsim.agents.issuance import ISSUER_ADDRESS, IssuanceAgent
 from ozsim.agents.market_maker import COLD_ADDRESS, MM_ADDRESS, MarketMakerAgent
 from ozsim.agents.orchestrator import Orchestrator
 from ozsim.agents.risk import RiskAgent
-from ozsim.config import ComplianceSpec, IssuanceSpec, MMSpec, RiskSpec
+from ozsim.config import ComplianceSpec, IssuanceSpec, MMSpec, RiskSpec, ScenarioConfig
 from ozsim.exchange import Exchange
 from ozsim.ledger import Ledger, ParamStore
 from ozsim.oracle import OracleHub, PriceProcess, Regime
@@ -71,10 +71,9 @@ class World:
         self.orchestrator = Orchestrator(
             self.sched, self.log, self.ledger, self.exchange,
             self.compliance, self.issuance, self.risk,
-            self.sched.fork_rng("orchestration"),
-            oracle=self.oracle,
-            pre_trade_sigma_ms=pre_trade_sigma,
-            order_style=order_style,
+            self.sched.fork_rng("orchestration"), self.oracle,
+            ScenarioConfig("world", seed, 0, pre_trade_sigma_ms=pre_trade_sigma,
+                           order_style=order_style),
             on_report=self._collect_report,
         )
         for addr in (MM_ADDRESS, COLD_ADDRESS, ISSUER_ADDRESS):

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import importlib.util
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,62 @@ class TestConfig:
                              ops_schedule=[{"action": "clear_risk_alert", "at_ms": 0}])
         assert len(config.governance_schedule) == 2
 
+    BURST = {"count": 5, "window_start_ms": 1_000, "window_end_ms": 2_000}
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"governance_schedule": [{"action": "unpause"}]},
+         r"governance_schedule\[0\]\.at_ms: missing required key"),
+        ({"governance_schedule": [{**UPDATE, "sign_at_ms": [1_000]}]},
+         r"governance_schedule\[0\]: signers and sign_at_ms differ in length"),
+        ({"governance_schedule": [{**PROPOSAL, "votes": ["u1"]}]},
+         r"governance_schedule\[0\]\.votes: must be list\[tuple\[str, bool\]\]"),
+        ({"governance_schedule": [{**PROPOSAL, "value": "high"}]},
+         r"governance_schedule\[0\]\.value: must be float"),
+        ({"governance_schedule": [{**PROPOSAL, "vote_at_ms": 500}]},
+         r"governance_schedule\[0\]: vote_at_ms and execute_at_ms must not precede"),
+        ({"block_interval_ms": 1000.5}, r"scenario\.block_interval_ms: must be int"),
+        ({"commit_latency_ms": -500}, r"scenario\.commit_latency_ms: must be NonNegativeInt"),
+        ({"commit_jitter_ms": -100}, r"scenario\.commit_jitter_ms: must be NonNegativeInt"),
+        ({"order_expiry_ms": -1}, r"scenario\.order_expiry_ms: must be NonNegativeInt"),
+        ({"max_txs_per_block": 0}, r"scenario\.max_txs_per_block: must be positive"),
+        ({"user_count": True}, r"scenario\.user_count: must be int"),
+        ({"action_mix": {"buy": "all"}}, r"scenario\.action_mix: must be dict"),
+        ({"params": {"breaker_swing_thresh": 0.1}}, r"scenario\.params: unknown ledger parameters"),
+        ({"order_style": "mixed", "limit_offset_bps": [-10.0, 5.0, 20.0]},
+         r"scenario\.limit_offset_bps: must be tuple\[float, float\]"),
+        ({"issue_burst": BURST}, r"scenario\.issue_burst: needs user_count > 0"),
+        ({"user_count": 2, "issue_burst": {**BURST, "window_end_ms": 500}},
+         r"scenario\.issue_burst: window must run forward"),
+        ({"user_count": 2, "issue_burst": {**BURST, "window_end_ms": 20_000}},
+         r"scenario\.issue_burst: window must run forward"),
+        ({"fault_schedule": [{"target": "oracle", "kind": "stuck",
+                              "start_ms": -1_000, "duration_ms": 2_000}]},
+         r"fault_schedule\[0\]\.start_ms: must be NonNegativeInt"),
+        ({"fault_schedule": [{"target": "vault", "kind": "misreport",
+                              "start_ms": 5_000, "duration_ms": -1_000}]},
+         r"fault_schedule\[0\]\.duration_ms: must be NonNegativeInt"),
+    ])
+    def test_malformed_input_rejected_at_load(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config({**MINIMAL, **overrides})
+
+    def test_schedule_defaults_live_on_the_spec(self):
+        proposal = tiny_config(governance_schedule=[self.PROPOSAL]).governance_schedule[0]
+        assert (proposal.votes, proposal.timelock_ms, proposal.vote_at_ms,
+                proposal.execute_at_ms) == ([], None, 2_000, None)
+
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_bundled_scenario_round_trips(self, name):
+        """Replay rebuilds a run from the logged config, so to_dict must load back
+        to the same config, and log a schedule exactly as the file wrote it."""
+        config = load_bundled(name)
+        data = config.to_dict()
+        assert load_config(data) == config
+        written = json.loads(resources.files("ozsim.scenarios").joinpath(f"{name}.json")
+                             .read_text())
+        for key in ("governance_schedule", "ops_schedule"):
+            assert data[key] == written.get(key, [])
+
     def test_bundled_scenarios_all_parse(self):
         names = bundled_scenario_names()
         assert {"baseline-24h", "table1-oracle", "table1-vault",
@@ -211,6 +268,18 @@ class TestRunner:
         assert header == "t_ms,mid,spread_frac,bid_depth_oz,ask_depth_oz,mm_inventory_oz,tps,risk_util"
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["digest"] == result.digest
+
+    def test_unpause_and_deposit_actions_run(self, tmp_path):
+        config = tiny_config(
+            duration_ms=5_000, vault_initial_oz=1_000.0,
+            governance_schedule=[{"action": "unpause", "at_ms": 1_000}],
+            ops_schedule=[{"action": "deposit_physical", "at_ms": 2_000, "amount_oz": 10.0}],
+        )
+        result = run_scenario(config, out_dir=tmp_path)
+        records = map(json.loads, (tmp_path / "events.jsonl").read_text().splitlines())
+        assert [(r["t"], r["source"]) for r in records if r["kind"] in ("unpause", "deposit")] == [
+            (1_000, "governance"), (2_000, "vault")]
+        assert result.sim.vault.total_micro_oz == 1_010 * 1_000_000
 
     @pytest.mark.parametrize("name", ["table1-oracle", "table1-vault"])
     def test_table1_findings_do_not_depend_on_out_dir(self, tmp_path, name):
