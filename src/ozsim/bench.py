@@ -10,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 import statistics
 from dataclasses import dataclass
+
+from .agents.orchestrator import COMPLETED, ONBOARD
 from .config import ScenarioConfig
 from .runner import Simulation
 
@@ -42,13 +44,18 @@ def run_count(base: ScenarioConfig, users: int, warmup_ms: int = 15_000) -> Benc
     window = [s for s in sim.metrics.samples if s.t_ms > warmup_ms]
     tps_values = [s.tps for s in window]
     util_values = [s.risk_util for s in window]
+    reports = sim.metrics.reports
+    ok, onboard = reports.code(COMPLETED), reports.code(ONBOARD)
     latencies = sorted(
-        r.latency_ms
-        for r in sim.metrics.reports
-        if r.ok and r.kind != "onboard" and r.finished_at > warmup_ms
+        finished_at - requested_at
+        for kind, status, requested_at, finished_at in zip(
+            reports.kind, reports.status, reports.requested_at, reports.finished_at
+        )
+        if status == ok and kind != onboard and finished_at > warmup_ms
     )
     failed = sum(
-        1 for r in sim.metrics.reports if not r.ok and r.kind != "onboard"
+        1 for kind, status in zip(reports.kind, reports.status)
+        if status != ok and kind != onboard
     )
     median = statistics.median(latencies) if latencies else float("nan")
     return BenchRow(
@@ -75,7 +82,7 @@ def run_bench(
 
         with mp.get_context("spawn").Pool(jobs) as pool:
             rows = pool.starmap(
-                run_count, [(base, n, warmup_ms) for n in user_counts]
+                run_count, [(base, n, warmup_ms) for n in user_counts], chunksize=1
             )
     else:
         rows = [run_count(base, n, warmup_ms) for n in user_counts]

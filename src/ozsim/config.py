@@ -13,10 +13,11 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Any, NewType, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Any, Optional, Union, get_args, get_origin, get_type_hints
 
-from .ledger import PARAM_DEFAULTS
+from .ledger import PARAM_DEFAULTS, OutOfBounds, ParamStore
 from .oracle import PRIMARY, SECONDARY
+from .units import to_micro
 
 
 class ConfigError(Exception):
@@ -25,8 +26,11 @@ class ConfigError(Exception):
         super().__init__("; ".join(messages))
 
 
+# Bounded integers: Annotated[int, least value, what load says of a smaller one].
+Positive = Annotated[int, 1, "must be positive"]  # periods and sizes
+NonNegative = Annotated[int, 0, "must not be negative"]  # counts and offsets
 # A simulated time or duration in milliseconds: an integer, never negative.
-NonNegativeInt = NewType("NonNegativeInt", int)
+NonNegativeInt = Annotated[int, 0, "must be NonNegativeInt"]
 
 
 @dataclass
@@ -62,13 +66,13 @@ class MMSpec:
     inv_limit_oz: float = 100.0
     rebalance_threshold_oz: float = 50.0
     skew_coeff: float = 0.001
-    vol_window_s: int = 60
+    vol_window_s: Positive = 60
 
 
 @dataclass
 class RiskSpec:
-    cycle_ms: int = 1000
-    phase_ms: int = 500
+    cycle_ms: Positive = 1000
+    phase_ms: NonNegative = 500
     staleness_threshold_ms: int = 10_000
     divergence_threshold: float = 0.005
     concentration_limit: float = 0.20
@@ -164,13 +168,13 @@ class DepositPhysical:
 class ScenarioConfig:
     name: str
     seed: int
-    duration_ms: int
+    duration_ms: Positive
     description: str = ""
-    block_interval_ms: int = 1000
+    block_interval_ms: Positive = 1000
     commit_latency_ms: NonNegativeInt = 300
     commit_jitter_ms: NonNegativeInt = 0
-    max_txs_per_block: int = 100_000
-    user_count: int = 0
+    max_txs_per_block: Positive = 100_000
+    user_count: NonNegative = 0
     user_arrival_hz: float = 0.0
     preapproved_users: bool = False  # skip onboarding (steady-state load tests)
     action_mix: dict[str, float] = field(
@@ -188,7 +192,7 @@ class ScenarioConfig:
     price: PriceSpec = field(default_factory=PriceSpec)
     secondary_noise_frac: float = 0.0002
     vault_initial_oz: float = 1000.0
-    attestation_interval_ms: int = 60_000
+    attestation_interval_ms: Positive = 60_000
     mm: MMSpec = field(default_factory=MMSpec)
     risk: RiskSpec = field(default_factory=RiskSpec)
     issuance: IssuanceSpec = field(default_factory=IssuanceSpec)
@@ -200,8 +204,8 @@ class ScenarioConfig:
     ops_schedule: list[Union[ClearRiskAlert, DepositPhysical]] = field(default_factory=list)
     issue_burst: Optional[BurstSpec] = None
     checks: list[str] = field(default_factory=list)
-    sample_interval_ms: int = 1000
-    snapshot_interval_ms: int = 0  # 0 disables state snapshot records
+    sample_interval_ms: Positive = 1000
+    snapshot_interval_ms: NonNegative = 0  # 0 disables state snapshot records
     log_trades: bool = True
     log_workflows: bool = False
 
@@ -218,7 +222,7 @@ _FAULT_KINDS = {"oracle": ("stuck", "spoofed"), "vault": ("misreport",)}
 @cache
 def _fields(cls) -> dict:
     """name -> (field, annotation, the spec or Union of specs inside it or None)."""
-    hints = get_type_hints(cls)
+    hints = get_type_hints(cls, include_extras=True)
     plan = {}
     for f in fields(cls):
         tp = hints[f.name]
@@ -233,9 +237,9 @@ def _fits(tp, value: Any) -> bool:
         return type(value) is tp
     if tp is float:
         return type(value) is float or type(value) is int
-    if tp is NonNegativeInt:
-        return type(value) is int and value >= 0
     origin, args = get_origin(tp), get_args(tp)
+    if origin is Annotated:
+        return _fits(args[0], value) and value >= args[1]
     if origin is Union:  # Optional[X]
         return value is None or _fits(args[0], value)
     if origin is list:
@@ -243,6 +247,14 @@ def _fits(tp, value: Any) -> bool:
     if origin is tuple:
         return type(value) is list and len(value) == len(args) and all(map(_fits, args, value))
     return type(value) is dict and all(_fits(args[1], v) for v in value.values())  # dict[str, X]
+
+
+def _misfit(tp, written: str, value: Any) -> str:
+    """Why value does not fit tp (`written` in the source): a bound's message or the type."""
+    if get_origin(tp) is Annotated:
+        base, _, message = get_args(tp)
+        return message if _fits(base, value) else f"must be {base.__name__}"
+    return f"must be {written}"
 
 
 def _build(cls, data: Any, path: str, errors: list[str]):
@@ -265,7 +277,7 @@ def _build(cls, data: Any, path: str, errors: list[str]):
             continue
         f, tp, spec = plan[key]
         if spec is None and not _fits(tp, value):
-            errors.append(f"{path}.{key}: must be {f.type}, got {value!r}")
+            errors.append(f"{path}.{key}: {_misfit(tp, f.type, value)}, got {value!r}")
         elif spec is None or value is None and f.default is None:
             kwargs[key] = value  # a plain value, or an optional spec left out
         elif get_origin(tp) is not list:
@@ -291,23 +303,6 @@ def load_config(data: dict) -> ScenarioConfig:
     errors: list[str] = []
     config = _build(ScenarioConfig, data, "scenario", errors)
     if config is not None:
-        positive = {
-            "duration_ms": config.duration_ms,
-            "block_interval_ms": config.block_interval_ms,
-            "max_txs_per_block": config.max_txs_per_block,
-            "sample_interval_ms": config.sample_interval_ms,
-            "attestation_interval_ms": config.attestation_interval_ms,
-            "risk.cycle_ms": config.risk.cycle_ms,
-            "mm.vol_window_s": config.mm.vol_window_s,
-        }
-        for name, value in positive.items():
-            if value <= 0:
-                errors.append(f"scenario.{name}: must be positive")
-        for name, value in (("user_count", config.user_count),
-                            ("snapshot_interval_ms", config.snapshot_interval_ms),
-                            ("risk.phase_ms", config.risk.phase_ms)):
-            if value < 0:
-                errors.append(f"scenario.{name}: must not be negative")
         if config.load_model == "closed" and not config.think_time_ms > 0:
             errors.append("scenario.think_time_ms: must be positive under the closed load model")
         if config.action_mix:
@@ -320,6 +315,12 @@ def load_config(data: dict) -> ScenarioConfig:
         unknown = set(config.params) - set(PARAM_DEFAULTS)
         if unknown:
             errors.append(f"scenario.params: unknown ledger parameters {sorted(unknown)}")
+        store, reserve = ParamStore(), to_micro(config.vault_initial_oz)  # the genesis reserve
+        for key in sorted(set(config.params) - unknown):
+            try:
+                store.set(key, config.params[key], reserve)
+            except OutOfBounds as exc:
+                errors.append(f"scenario.params: out-of-bounds ledger parameter {exc}")
         if config.load_model not in ("open", "closed"):
             errors.append(f"scenario.load_model: {config.load_model!r} is not open|closed")
         if config.order_style not in ("market", "mixed"):

@@ -4,6 +4,10 @@ The CSV holds the per-second series (t_ms, mid, spread_frac, bid_depth_oz,
 ask_depth_oz, mm_inventory_oz, tps, risk_util); everything an acceptance
 criterion needs beyond that is aggregated into the summary dictionary so no
 re-run is required to evaluate a criterion.
+
+Every workflow report of a run lives in MetricsCollector.reports, a
+WorkflowReports store that keeps the report fields as columns rather than one
+object per workflow; iterating it rebuilds the WorkflowReports.
 """
 
 from __future__ import annotations
@@ -11,10 +15,13 @@ from __future__ import annotations
 import csv
 import json
 import statistics
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from .agents.orchestrator import COMPLETED, WorkflowReport
 from .units import MICRO, from_micro
 
 CSV_COLUMNS = [
@@ -39,6 +46,58 @@ class Sample:
     ref_price: Optional[float]
 
 
+class WorkflowReports:
+    """The workflow reports of a run, appended in order and kept as columns.
+
+    A saturated run reports hundreds of thousands of workflows, so the store
+    keeps no object per report: kinds and statuses are byte codes into one
+    table of names (at most 256 distinct), times are 64-bit integer arrays,
+    and users are the id strings the orchestrator already holds.  Iteration
+    yields WorkflowReports equal to the ones appended.
+    """
+
+    def __init__(self):
+        self.names: list[str] = []  # code -> kind or status name
+        self._codes: dict[str, int] = {}
+        self.kind = bytearray()
+        self.status = bytearray()
+        self.user: list[str] = []
+        self.requested_at = array("q")
+        self.finished_at = array("q")
+        self.agent_ms = array("q")
+        self.chain_ms = array("q")
+
+    def code(self, name: str) -> Optional[int]:
+        """The code of a kind or status name, None if no report carried it."""
+        return self._codes.get(name)
+
+    def _intern(self, name: str) -> int:
+        code = self._codes[name] = len(self.names)
+        self.names.append(name)
+        return code
+
+    def append(self, report: WorkflowReport) -> None:
+        kind, user, status, requested_at, finished_at, agent_ms, chain_ms = report
+        codes = self._codes
+        self.kind.append(codes[kind] if kind in codes else self._intern(kind))
+        self.status.append(codes[status] if status in codes else self._intern(status))
+        self.user.append(user)
+        self.requested_at.append(requested_at)
+        self.finished_at.append(finished_at)
+        self.agent_ms.append(agent_ms)
+        self.chain_ms.append(chain_ms)
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __iter__(self):
+        name = self.names.__getitem__
+        return map(
+            WorkflowReport, map(name, self.kind), self.user, map(name, self.status),
+            self.requested_at, self.finished_at, self.agent_ms, self.chain_ms,
+        )
+
+
 def _percentile(sorted_values: list, q: float) -> float:
     if not sorted_values:
         return float("nan")
@@ -56,7 +115,7 @@ class MetricsCollector:
         self.oracle = oracle
         self.sample_interval_ms = sample_interval_ms
         self.samples: list[Sample] = []
-        self.reports: list = []  # WorkflowReport
+        self.reports = WorkflowReports()
         self.trades_during_halt = 0
         self._last_tx_count = 0
         self._last_sample_ms = 0
@@ -116,21 +175,31 @@ class MetricsCollector:
     # -- aggregation -----------------------------------------------------------
 
     def latency_stats(self) -> dict:
+        reports = self.reports
+        names, ok_code = reports.names, reports.code(COMPLETED)
+        requests = Counter(reports.kind)
+        ok = {kind: ([], [], []) for kind in requests}  # latencies, agent_ms, chain_ms
+        failed: dict[int, dict[str, int]] = {kind: {} for kind in requests}
+        for kind, status, requested_at, finished_at, agent_ms, chain_ms in zip(
+            reports.kind, reports.status, reports.requested_at, reports.finished_at,
+            reports.agent_ms, reports.chain_ms,
+        ):
+            if status == ok_code:
+                latencies, agent, chain = ok[kind]
+                latencies.append(finished_at - requested_at)
+                agent.append(agent_ms)
+                chain.append(chain_ms)
+            else:
+                failures, name = failed[kind], names[status]
+                failures[name] = failures.get(name, 0) + 1
         stats: dict[str, dict] = {}
-        by_kind: dict[str, list] = {}
-        for report in self.reports:
-            by_kind.setdefault(report.kind, []).append(report)
-        for kind, reports in sorted(by_kind.items()):
-            ok = [r for r in reports if r.ok]
-            latencies = sorted(r.latency_ms for r in ok)
-            failures: dict[str, int] = {}
-            for r in reports:
-                if not r.ok:
-                    failures[r.status] = failures.get(r.status, 0) + 1
+        for kind in sorted(requests, key=names.__getitem__):
+            latencies, agent, chain = ok[kind]
+            latencies.sort()
             entry = {
-                "requests": len(reports),
-                "completed": len(ok),
-                "failed": failures,
+                "requests": requests[kind],
+                "completed": len(latencies),
+                "failed": failed[kind],
             }
             if latencies:
                 entry.update(
@@ -138,10 +207,10 @@ class MetricsCollector:
                     p50_ms=_percentile(latencies, 0.50),
                     p95_ms=_percentile(latencies, 0.95),
                     p99_ms=_percentile(latencies, 0.99),
-                    mean_agent_ms=statistics.fmean([r.agent_ms for r in ok]),
-                    mean_chain_ms=statistics.fmean([r.chain_ms for r in ok]),
+                    mean_agent_ms=statistics.fmean(agent),
+                    mean_chain_ms=statistics.fmean(chain),
                 )
-            stats[kind] = entry
+            stats[names[kind]] = entry
         return stats
 
     def spread_stats(self, regimes) -> list[dict]:

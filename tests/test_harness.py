@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ozsim.agents.compliance import APPROVED, DENIED, MANUAL_REVIEW
+from ozsim.agents.orchestrator import WorkflowReport
 from ozsim.bench import bench_config
 from ozsim.checks import run_checks
 from ozsim.cli import main as cli_main
@@ -182,10 +183,20 @@ class TestConfig:
         ({"fault_schedule": [{"target": "vault", "kind": "misreport",
                               "start_ms": 5_000, "duration_ms": -1_000}]},
          r"fault_schedule\[0\]\.duration_ms: must be NonNegativeInt"),
+        ({"params": {"breaker_swing_threshold": -1.0}},
+         r"scenario\.params: out-of-bounds ledger parameter breaker_swing_threshold=-1\.0 "),
+        ({"params": {"fee_rate": 5.0}},
+         r"scenario\.params: out-of-bounds ledger parameter fee_rate=5\.0 outside"),
+        ({"params": {"epsilon_micro_oz": 1_000_001}},  # 0.1% of the 1,000 oz genesis reserve
+         r"scenario\.params: out-of-bounds ledger parameter epsilon_micro_oz=1000001 "),
     ])
     def test_malformed_input_rejected_at_load(self, overrides, message):
         with pytest.raises(ConfigError, match=message):
             load_config({**MINIMAL, **overrides})
+
+    def test_params_at_their_bounds_load(self):
+        params = {"breaker_swing_threshold": 0.005, "fee_rate": 0.01, "epsilon_micro_oz": 1_000_000}
+        assert tiny_config(params=params).params == params
 
     def test_schedule_defaults_live_on_the_spec(self):
         proposal = tiny_config(governance_schedule=[self.PROPOSAL]).governance_schedule[0]
@@ -319,6 +330,26 @@ def test_run_leaves_no_cyclic_garbage(name):
         gc.enable()
     assert unreachable == 0, f"{name} left {unreachable} objects in reference cycles"
     assert sim.log.count > 0
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_run_keeps_no_workflow_report_objects(name):
+    """The collector keeps workflow reports as columns, not one tuple each.
+
+    The collector stays off for the run: a collection untracks tuples that
+    hold only strings and integers, which would hide the kept reports from
+    gc.get_objects().
+    """
+    sim = Simulation(no_garbage_config(name))
+    gc.collect()
+    gc.disable()
+    try:
+        sim.execute()
+        kept = sum(1 for obj in gc.get_objects() if type(obj) is WorkflowReport)
+    finally:
+        gc.enable()
+    assert kept == 0, f"{name} kept {kept} WorkflowReport objects"
+    assert len(sim.metrics.reports) > 0
 
 
 class TestReplay:
