@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from operator import mul
 
 from ..config import MMSpec
 from ..exchange import ASK, BID, Exchange, Trade
@@ -36,14 +35,6 @@ def _scaled(x: float) -> int:
     """x * 2**RETURN_SHIFT exactly; NaN and infinities raise."""
     m, d = x.as_integer_ratio()  # d is a power of two no larger than 2**1074
     return m << (RETURN_SHIFT + 1 - d.bit_length())
-
-
-def _exact_stdev(xs: list[float]) -> float:
-    """Sample standard deviation of finite floats, equal bit for bit to
-    `statistics.stdev` of Python 3.11 and later (the first to round it
-    correctly)."""
-    vs = list(map(_scaled, xs))
-    return _stdev_from_sums(len(vs), sum(vs), sum(map(mul, vs, vs)), RETURN_SHIFT)
 
 
 def _stdev_from_sums(n: int, sx: int, sxx: int, shift: int) -> float:

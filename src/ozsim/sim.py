@@ -184,10 +184,8 @@ class EventLog:
     far, which is what the determinism checks compare.
     """
 
-    def __init__(self, stream: Optional[IO[str]] = None, keep: bool = True):
+    def __init__(self, stream: Optional[IO[str]] = None):
         self._stream = stream
-        self._keep = keep
-        self.records: list[dict] = []
         self.count = 0
         self._last_t = 0
         self._hash = hashlib.sha256()
@@ -196,13 +194,10 @@ class EventLog:
         if t < self._last_t:
             raise ValueError(f"event log time went backwards: {t} < {self._last_t}")
         self._last_t = t
-        record = {"t": t, "source": source, "kind": kind, "detail": detail}
-        line = canonical_line(record)
+        line = canonical_line({"t": t, "source": source, "kind": kind, "detail": detail})
         self._hash.update(line.encode())
         self._hash.update(b"\n")
         self.count += 1
-        if self._keep:
-            self.records.append(record)
         if self._stream is not None:
             self._stream.write(line + "\n")
 

@@ -1,5 +1,7 @@
 """Shared wiring helpers for agent-level tests."""
 
+import io
+
 import pytest
 
 from ozsim.agents.compliance import ComplianceAgent
@@ -32,7 +34,8 @@ class World:
         order_style="market",
     ):
         self.sched = Scheduler(seed=seed)
-        self.log = EventLog()
+        self.log_stream = io.StringIO()
+        self.log = EventLog(self.log_stream)
         self.ledger = Ledger(
             self.sched, self.log, authorized_auditors={"auditor-1"}
         )

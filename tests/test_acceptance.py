@@ -55,7 +55,7 @@ def test_criterion_01_reserve_safety_fuzz():
     mints_checked = 0
     for seq in range(sequences):
         sched = Scheduler(seed=seq)
-        log = EventLog(keep=False)
+        log = EventLog()
         epsilon = rng.choice([0, 0, 100, to_micro(0.5)])
         ledger = Ledger(
             sched, log,
@@ -254,7 +254,7 @@ def _abstract(ledger, risk):
 def _materialize(state):
     issuance_paused, trading_paused, frozen, clear_requested, covering = state
     sched = Scheduler(seed=11)
-    log = EventLog(keep=False)
+    log = EventLog()
     ledger = Ledger(sched, log, authorized_auditors={"aud"})
     ledger.total_supply = to_micro(1000)
     ledger.balances["holder"] = to_micro(1000)
@@ -393,6 +393,36 @@ GOLDEN = {
         "table1-oracle": "9f431031dc209177f400201cb79f415a8c7f6e5bdc254498e076e511e12627b1",
         "table1-vault": "755e7e46b5b5c3f1a71991b9b726117e9203420e6720eaf5c67fd8f4055de2a7",
     },
+    "outputs": {
+        "baseline-24h": {
+            "metrics.csv": "da29d737d8fde68f1564d85402191f6563bf6c224fe9d54dbe7c32c05aa85c33",
+            "summary.json": "124475ec022e8e3d519914878a220583eee28612d5f004e1b602c025512e5f0a",
+        },
+        "bench-base": {
+            "metrics.csv": "dda244a2104ee619f633ce19582cb0704f3d09b0197f75e9a2a439b77d1ac610",
+            "summary.json": "99c4f31518f61e9f3b7ba6d414d1d32082f40dd64dce68f7c45a4f7aa8b4fbdb",
+        },
+        "governance-demo": {
+            "metrics.csv": "b2a8be4842a0693530bfb8ecaf3aedb0a306058f18a98b64f70d4aab4d3a32b2",
+            "summary.json": "a850dbead7cf9902e9779055be0d2338614fac13177edfa24cd3bce35250ab81",
+        },
+        "issuance-burst": {
+            "metrics.csv": "e4b176e310da9054cc66689753358f5c4637398771597f89a6125fc205944a5c",
+            "summary.json": "ef908a500d99e13f67407b1d80a4509df4ae4440a6f2bf685fdd6eb6b503963b",
+        },
+        "issuance-latency": {
+            "metrics.csv": "45c021cd68e072aa8e5c8b836a43132cbac7bb6f5a1013f965d805ef61c5f801",
+            "summary.json": "7e4f62062c7c6e605e00d0b8cdc54a1a1edc5aa936a8aee8d0fc2cd155d81ce4",
+        },
+        "table1-oracle": {
+            "metrics.csv": "c62f9b458d01c785c6d226f9a1c96de3529b0bbb1992e880eb053b5f7a293fdb",
+            "summary.json": "339adbc996f1e14efa4a7d8f38ed0907e80d7dbdd69bbd8bae8129c8ae220ff2",
+        },
+        "table1-vault": {
+            "metrics.csv": "621f8734887816fac5cf4a4aa223cb44d5fe4ffb7e0366c858da0880b770a508",
+            "summary.json": "efee4612928430b69c69e73697b04c45e42c0472310d5d2c42a57158f4a38712",
+        },
+    },
     "table1-oracle": {
         "fault_findings": [
             {
@@ -431,16 +461,21 @@ GOLDEN = {
 }
 
 
-def test_criterion_13_determinism():
+def test_criterion_13_determinism(tmp_path):
     import dataclasses
+    import hashlib
     import pprint
 
     mismatches = []
-    observed: dict = {"digests": {}}
+    observed: dict = {"digests": {}, "outputs": {}}
     for name in bundled_scenario_names():
         first = bundled_run(name)
-        second = run_scenario(load_bundled(name))
+        second = run_scenario(load_bundled(name), out_dir=tmp_path / name)
         observed["digests"][name] = first.digest
+        observed["outputs"][name] = {
+            file: hashlib.sha256((tmp_path / name / file).read_bytes()).hexdigest()
+            for file in ("metrics.csv", "summary.json")
+        }
         if first.digest != second.digest:
             mismatches.append(name)
         if name.startswith("table1"):
@@ -458,7 +493,7 @@ def test_criterion_13_determinism():
         13, not mismatches and seeds_differ and pinned,
         f"{len(bundled_scenario_names())} bundled scenarios re-run byte-identically; "
         f"a different seed changes the digest: {seeds_differ}; "
-        f"digests and table1 halts/findings match the pinned table: {pinned}"
+        f"digests, output file hashes and table1 halts/findings match the pinned table: {pinned}"
         if not mismatches else f"nondeterministic: {mismatches}",
     )
 

@@ -1,3 +1,6 @@
+import io
+import json
+
 import pytest
 
 from ozsim.governance import AlreadyExecuted, Governance, NotASigner, tally
@@ -8,9 +11,9 @@ from ozsim.units import to_micro
 DAY_MS = 86_400_000
 
 
-def make_gov(alerts=None):
+def make_gov(alerts=None, log=None):
     sched = Scheduler(seed=3)
-    ledger = Ledger(sched, EventLog(), authorized_auditors={"auditor-1"})
+    ledger = Ledger(sched, log or EventLog(), authorized_auditors={"auditor-1"})
     ledger.set_genesis_reserve(to_micro(1000))
     sink = None
     if alerts is not None:
@@ -152,12 +155,14 @@ def test_threshold_change_alters_subsequent_trip_decision():
 
 
 def test_governance_actions_are_logged():
-    sched, ledger, gov = make_gov()
+    stream = io.StringIO()
+    sched, ledger, gov = make_gov(log=EventLog(stream))
     ledger.genesis_mint("whale", to_micro(500))
     prop = gov.propose_param("fee_rate", 0.002, now=0)
     gov.vote(prop, "whale", True)
     gov.execute_param(prop, DAY_MS)
-    kinds = [r["kind"] for r in ledger.log.records if r["source"] == "governance"]
+    records = map(json.loads, stream.getvalue().splitlines())
+    kinds = [r["kind"] for r in records if r["source"] == "governance"]
     assert "param_proposed" in kinds
     assert "param_vote" in kinds
     assert "param_executed" in kinds

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import importlib.util
 import json
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from ozsim.cli import main as cli_main
 from ozsim.config import (
     ComplianceSpec, ConfigError, bundled_scenario_names, load_bundled, load_config,
 )
+from ozsim.metrics import Sample
 from ozsim.profiles import CorpusSpec, generate_profiles
 from ozsim.replay import diff_logs, replay
 from ozsim.runner import Simulation, run_scenario
@@ -334,22 +336,25 @@ def test_run_leaves_no_cyclic_garbage(name):
 
 @pytest.mark.parametrize("name", bundled_scenario_names())
 def test_run_keeps_no_workflow_report_objects(name):
-    """The collector keeps workflow reports as columns, not one tuple each.
+    """The collector keeps workflow reports and samples as columns, not one
+    tuple each.
 
-    The collector stays off for the run: a collection untracks tuples that
-    hold only strings and integers, which would hide the kept reports from
-    gc.get_objects().
+    Both row types are counted in the one run.  The collector stays off for
+    the run: a collection untracks tuples that hold only atomic values, which
+    would hide the kept rows from gc.get_objects().
     """
     sim = Simulation(no_garbage_config(name))
     gc.collect()
     gc.disable()
     try:
         sim.execute()
-        kept = sum(1 for obj in gc.get_objects() if type(obj) is WorkflowReport)
+        kept = Counter(type(obj) for obj in gc.get_objects())
     finally:
         gc.enable()
-    assert kept == 0, f"{name} kept {kept} WorkflowReport objects"
+    for row_type in (WorkflowReport, Sample):
+        assert kept[row_type] == 0, f"{name} kept {kept[row_type]} {row_type.__name__} objects"
     assert len(sim.metrics.reports) > 0
+    assert len(sim.metrics.samples) > 0
 
 
 class TestReplay:

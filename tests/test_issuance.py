@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ozsim.agents.issuance import (
@@ -50,7 +52,8 @@ class TestIssue:
         assert results[0].latency_ms == 0
         mint_rows = [
             row
-            for r in w.ledger.log.records if r["kind"] == "block"
+            for r in map(json.loads, w.log_stream.getvalue().splitlines())
+            if r["kind"] == "block"
             for row in r["detail"]["txs"] if row[0] == "mint"
         ]
         assert mint_rows == []

@@ -1,3 +1,6 @@
+import io
+import json
+
 import pytest
 
 from ozsim.ledger import (
@@ -15,15 +18,15 @@ from ozsim.sim import EventLog, Scheduler
 from ozsim.units import to_micro
 
 
-def make_ledger(**kwargs):
+def make_ledger(log=None, **kwargs):
     sched = Scheduler(seed=1)
-    log = EventLog()
-    ledger = Ledger(sched, log, authorized_auditors={"auditor-1"}, **kwargs)
+    ledger = Ledger(sched, log or EventLog(), authorized_auditors={"auditor-1"}, **kwargs)
     return sched, ledger
 
 
 def test_tx_submitted_mid_second_lands_in_next_block():
-    sched, ledger = make_ledger()
+    stream = io.StringIO()
+    sched, ledger = make_ledger(EventLog(stream))
     ledger.set_genesis_reserve(to_micro(1000))
     ledger.start()
     sched.run_until(10_400)
@@ -36,7 +39,8 @@ def test_tx_submitted_mid_second_lands_in_next_block():
     assert ledger.balance("alice") == 0  # not yet executed
     sched.run_until(11_000)
     assert ledger.balance("alice") == to_micro(1)
-    block = [r for r in ledger.log.records if r["kind"] == "block" and r["detail"]["txs"]]
+    records = map(json.loads, stream.getvalue().splitlines())
+    block = [r for r in records if r["kind"] == "block" and r["detail"]["txs"]]
     assert block[-1]["t"] == 11_000
 
 
@@ -205,17 +209,13 @@ class TestBreaker:
             # registered mid-lift: waits for the next lift
             ledger.once_breaker_lift(lambda t: calls.append(("d", t)))
 
-        ledger.on_breaker_lift(lambda t: calls.append(("a", t)))
+        ledger.once_breaker_lift(lambda t: calls.append(("a", t)))
         ledger.once_breaker_lift(once_b)
-        ledger.on_breaker_lift(lambda t: calls.append(("c", t)))
+        ledger.once_breaker_lift(lambda t: calls.append(("c", t)))
         for now in (10, 20, 30):
             ledger.trip_breaker(now - 5, "test")
             ledger.governance_unpause(now)
-        assert calls == [
-            ("a", 10), ("b", 10), ("c", 10),
-            ("a", 20), ("c", 20), ("d", 20),
-            ("a", 30), ("c", 30),
-        ]
+        assert calls == [("a", 10), ("b", 10), ("c", 10), ("d", 20)]
 
     def test_old_samples_fall_out_of_window(self):
         sched, ledger = make_ledger()
@@ -286,7 +286,7 @@ _ops = st.lists(
 @given(reserve=st.integers(min_value=0, max_value=to_micro(500)), ops=_ops)
 def test_property_no_mint_ever_breaches_reserve_ceiling(reserve, ops):
     sched = Scheduler(seed=1)
-    ledger = Ledger(sched, EventLog(keep=False), authorized_auditors={"aud"})
+    ledger = Ledger(sched, EventLog(), authorized_auditors={"aud"})
     ledger.attested_reserve = reserve
     for kind, src, dst, amount in ops:
         if kind == "mint":
@@ -313,7 +313,7 @@ def test_property_no_mint_ever_breaches_reserve_ceiling(reserve, ops):
 )
 def test_property_breaker_trips_iff_swing_exceeds_threshold(window):
     sched = Scheduler(seed=2)
-    ledger = Ledger(sched, EventLog(keep=False))
+    ledger = Ledger(sched, EventLog())
     samples = [(i * 1000, p) for i, p in enumerate(window)]
     now = samples[-1][0]
     p_now = window[-1]
@@ -338,7 +338,7 @@ _window_ops = st.lists(
 @given(ops=_window_ops)
 def test_property_price_window_matches_brute_force_scan(ops):
     sched = Scheduler(seed=3)
-    ledger = Ledger(sched, EventLog(keep=False))
+    ledger = Ledger(sched, EventLog())
     window = PriceWindow()
     retained: list[tuple[int, int]] = []
     now = 0

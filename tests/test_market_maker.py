@@ -5,12 +5,15 @@ import struct
 import sys
 from collections import deque
 from itertools import pairwise
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ozsim.agents.market_maker import MarketMakerAgent, _exact_stdev
+from ozsim.agents.market_maker import (
+    RETURN_SHIFT, MarketMakerAgent, _scaled, _stdev_from_sums,
+)
 from ozsim.config import MMSpec
 from ozsim.exchange import ASK, BID
 from ozsim.units import MICRO, to_micro
@@ -167,6 +170,14 @@ class TestInventoryControl:
         w.mm.inventory = to_micro(50)
         w.mm.maybe_rebalance(5_000)
         assert len(w.mm.rebalance_events) == 1
+
+
+def _exact_stdev(xs: list[float]) -> float:
+    """Sample standard deviation of finite floats, equal bit for bit to
+    `statistics.stdev` of Python 3.11 and later (the first to round it
+    correctly)."""
+    vs = list(map(_scaled, xs))
+    return _stdev_from_sums(len(vs), sum(vs), sum(map(mul, vs, vs)), RETURN_SHIFT)
 
 
 def _bits(x: float) -> bytes:

@@ -6,13 +6,28 @@ from hypothesis import given, settings, strategies as st
 from ozsim import bench
 from ozsim.agents.orchestrator import WorkflowReport
 from ozsim.config import load_config
-from ozsim.metrics import MetricsCollector, WorkflowReports, _percentile
+from ozsim.metrics import Columns, MetricsCollector, Sample, _percentile
+from ozsim.units import from_micro
 
 KINDS = ["onboard", "buy", "sell", "issue", "redeem"]
 STATUSES = ["completed", "unfilled", "not_onboarded", "trading_halted",
             "insufficient_holdings", "reverted", "manual_review"]
 TIME = st.integers(0, 2**40)
 DURATION = st.integers(0, 10**6)
+SIGMAS = [0.0005, 0.001, 0.002]
+REGIMES = [SimpleNamespace(sigma_per_s=sigma, start_ms=i * 1000) for i, sigma in enumerate(SIGMAS)]
+
+
+def maybe(values):
+    return st.none() | values
+
+
+samples = st.builds(
+    Sample, TIME, maybe(st.floats(1000, 3000)), maybe(st.floats(0, 0.02)),
+    maybe(st.floats(0, 500)), maybe(st.floats(0, 500)), st.floats(-1000, 1000),
+    st.floats(0, 10_000), st.floats(0, 1), st.booleans(), st.sampled_from(SIGMAS),
+    st.floats(0, 0.01), maybe(st.just(0.0) | st.floats(1000, 3000)),
+)
 
 
 @st.composite
@@ -52,49 +67,132 @@ def reference_latency_stats(reports: list) -> dict:
     return stats
 
 
-def reference_bench_selection(reports: list, warmup_ms: int):
-    """bench.run_count's post-warmup latencies and failure count over a plain list."""
+def reference_sample_stats(samples: list) -> dict:
+    """The summary's sample aggregates, as MetricsCollector computed them over
+    a plain list of Samples."""
+    spread_by_regime = []
+    for regime in REGIMES:
+        rows = [
+            s for s in samples
+            if s.sigma == regime.sigma_per_s and not s.halted and s.spread_frac is not None
+        ]
+        spreads = [s.spread_frac for s in rows]
+        entry = {
+            "sigma_per_s": regime.sigma_per_s,
+            "start_ms": regime.start_ms,
+            "samples": len(spreads),
+        }
+        if spreads:
+            in_band = sum(1 for v in spreads if 0.002 - 1e-6 <= v <= 0.005 + 1e-6)
+            entry.update(
+                spread_min=min(spreads),
+                spread_max=max(spreads),
+                in_band_02_05_frac=in_band / len(spreads),
+                le_1pct_frac=sum(1 for v in spreads if v <= 0.01 + 1e-6) / len(spreads),
+            )
+        spread_by_regime.append(entry)
+    bid = [s.bid_depth_oz for s in samples if not s.halted and s.bid_depth_oz is not None]
+    ask = [s.ask_depth_oz for s in samples if not s.halted and s.ask_depth_oz is not None]
+    worst = 0.0
+    worst_margin = None
+    for s in samples:
+        if s.halted or s.mid is None or s.ref_price in (None, 0):
+            continue
+        offset = abs(s.mid - s.ref_price) / s.ref_price
+        worst = max(worst, offset)
+        margin = s.half_spread - offset
+        worst_margin = margin if worst_margin is None else min(worst_margin, margin)
+    inventory = [abs(s.mm_inventory_oz) for s in samples]
+    tps_values = [s.tps for s in samples]
+    util_values = [s.risk_util for s in samples]
+    return {
+        "samples": len(samples),
+        "tps": {
+            "peak": max(tps_values) if tps_values else 0.0,
+            "mean": statistics.fmean(tps_values) if tps_values else 0.0,
+        },
+        "risk_utilization": {
+            "mean": statistics.fmean(util_values) if util_values else 0.0,
+            "max": max(util_values) if util_values else 0.0,
+        },
+        "spread_by_regime": spread_by_regime,
+        "depth": {
+            "min_bid_oz": min(bid) if bid else None,
+            "min_ask_oz": min(ask) if ask else None,
+            "samples_bid": len(bid),
+            "samples_ask": len(ask),
+        },
+        "peg": {"max_mid_offset_frac": worst, "min_half_spread_margin": worst_margin},
+        "inventory": {
+            "max_abs_oz": max(inventory) if inventory else 0.0,
+            "rebalances": [{"t_ms": 5, "inventory_oz": from_micro(7)}],
+        },
+    }
+
+
+def reference_bench_selection(reports: list, samples: list, warmup_ms: int):
+    """bench.run_count's post-warmup latencies, failure count and sample window
+    over plain lists."""
     latencies = sorted(
         r.latency_ms for r in reports
         if r.ok and r.kind != "onboard" and r.finished_at > warmup_ms
     )
     failed = sum(1 for r in reports if not r.ok and r.kind != "onboard")
-    return latencies, failed
+    window = [s for s in samples if s.t_ms > warmup_ms]
+    return latencies, failed, [s.tps for s in window], [s.risk_util for s in window]
 
 
-def store_of(appended: list) -> WorkflowReports:
-    store = WorkflowReports()
-    for report in appended:
-        store.append(report)
+def store_of(row_type, appended: list, **kwargs) -> Columns:
+    store = Columns(row_type, **kwargs)
+    for row in appended:
+        store.append(row)
     return store
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(reports(), max_size=60))
-def test_store_iterates_and_aggregates_as_the_list_it_replaces(appended):
-    store = store_of(appended)
-    assert len(store) == len(appended)
-    assert list(store) == appended
-    assert all(type(r) is WorkflowReport for r in store)
-    assert list(store) == appended  # iteration does not consume the store
-    collector = SimpleNamespace(reports=store)
-    assert MetricsCollector.latency_stats(collector) == reference_latency_stats(appended)
+@given(st.lists(reports(), max_size=60), st.lists(samples, max_size=60))
+def test_store_iterates_and_aggregates_as_the_list_it_replaces(appended, sampled):
+    exchange = SimpleNamespace(on_trade=lambda listener: None, trade_count=0, traded_micro_oz=0)
+    mm = SimpleNamespace(rebalance_events=[(5, 7)])
+    collector = MetricsCollector(None, exchange, mm, None, None, None, 1000)
+    for report in appended:
+        collector.on_report(report)
+    for sample in sampled:
+        collector.samples.append(sample)
+    for store, rows, row_type in (
+        (collector.reports, appended, WorkflowReport), (collector.samples, sampled, Sample)
+    ):
+        assert len(store) == len(rows)
+        assert list(store) == rows
+        assert all(type(r) is row_type for r in store)
+        assert [list(map(type, r)) for r in store] == [list(map(type, r)) for r in rows]
+        assert list(store) == rows  # iteration does not consume the store
+    config = SimpleNamespace(
+        name="s", seed=1, duration_ms=1, price=SimpleNamespace(regimes=REGIMES)
+    )
+    summary = collector.summary(config, "digest", [], [], [], {})
+    assert summary["latency_ms"] == reference_latency_stats(appended)
+    expected = reference_sample_stats(sampled)
+    assert {key: summary[key] for key in expected} == expected
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(reports(), max_size=60), st.integers(-1, 59))
-def test_run_count_selects_as_the_list_it_replaces(appended, cut):
+@given(st.lists(reports(), max_size=60), st.lists(samples, max_size=60), st.integers(-1, 59))
+def test_run_count_selects_as_the_list_it_replaces(appended, sampled, cut):
     # the warm-up cut sits at 0 or exactly where one report finishes
     warmup_ms = appended[cut % len(appended)].finished_at if appended and cut >= 0 else 0
 
     class FinishedSimulation:
         def __init__(self, config):
-            self.metrics = SimpleNamespace(samples=[], reports=store_of(appended))
+            self.metrics = SimpleNamespace(
+                samples=store_of(Sample, sampled),
+                reports=store_of(WorkflowReport, appended, plain=("user",)),
+            )
 
         def execute(self):
             pass
 
-    latencies, failed = reference_bench_selection(appended, warmup_ms)
+    latencies, failed, tps, util = reference_bench_selection(appended, sampled, warmup_ms)
     real = bench.Simulation
     bench.Simulation = FinishedSimulation
     try:
@@ -107,4 +205,6 @@ def test_run_count_selects_as_the_list_it_replaces(appended, cut):
         assert row.median_latency_ms == statistics.median(latencies)
     else:
         assert row.median_latency_ms != row.median_latency_ms  # nan
-
+    assert row.sustained_tps == (statistics.fmean(tps) if tps else 0.0)
+    assert row.peak_tps == (max(tps) if tps else 0.0)
+    assert row.utilization == (statistics.fmean(util) if util else 0.0)

@@ -161,7 +161,7 @@ class TestAdmissionGate:
         assert waits[-1] > waits[0]
         util = gate.utilization_since_last_sample(1000, 1000)
         assert util == pytest.approx(0.85, rel=0.02)  # pinned at the headroom share
-        assert gate.backlog_ms(1000) > 0
+        assert gate.admit(1000) > 0
 
     def test_spacing_matches_admission_rate(self):
         gate = AdmissionGate(service_rate=100.0, headroom=0.85)
