@@ -322,20 +322,21 @@ class MetricsCollector:
     # -- output files -------------------------------------------------------------
 
     def write_csv(self, path: Path) -> None:
+        s = self.samples
+
+        def optional(places: int, column):
+            return ("" if v != v else f"{v:.{places}f}" for v in column)  # NaN stands for None
+
+        # Numbers need no quoting, so a row is one format call straight from the
+        # columns; "\r\n" is csv.writer's line end, which the file has always had.
+        row = "{},{},{},{},{},{:.6f},{:.3f},{:.6f}\r\n"
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for s in self.samples:
-                writer.writerow([
-                    s.t_ms,
-                    "" if s.mid is None else f"{s.mid:.6f}",
-                    "" if s.spread_frac is None else f"{s.spread_frac:.8f}",
-                    "" if s.bid_depth_oz is None else f"{s.bid_depth_oz:.6f}",
-                    "" if s.ask_depth_oz is None else f"{s.ask_depth_oz:.6f}",
-                    f"{s.mm_inventory_oz:.6f}",
-                    f"{s.tps:.3f}",
-                    f"{s.risk_util:.6f}",
-                ])
+            fh.write(",".join(CSV_COLUMNS) + "\r\n")
+            fh.writelines(map(
+                row.format, s.t_ms, optional(6, s.mid), optional(8, s.spread_frac),
+                optional(6, s.bid_depth_oz), optional(6, s.ask_depth_oz),
+                s.mm_inventory_oz, s.tps, s.risk_util,
+            ))
 
 
 def write_summary(summary: dict, path: Path) -> None:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
@@ -34,24 +36,44 @@ class ReplayResult:
         return self.verdict == MATCH
 
 
-def _read_log(path: Path) -> tuple[list[str], list[dict]]:
-    lines = [line.rstrip("\n") for line in path.read_text(encoding="utf-8").splitlines()]
-    records = [json.loads(line) for line in lines]
-    return lines, records
+def _field(line: str, kind: str, *keys: str):
+    """The one-line record if it is of this kind, or the value under `keys`
+    in it; None if the line is not JSON or has no such record or value."""
+    try:
+        value = json.loads(line)
+        if value["kind"] != kind:
+            return None
+        for key in keys:
+            value = value[key]
+        return value
+    except (ValueError, LookupError, TypeError):  # not JSON, not an object, no such key
+        return None
 
 
 def replay(path: str | Path, rerun: bool = True) -> ReplayResult:
-    lines, records = _read_log(Path(path))
-    if not records or records[0]["kind"] != "scenario_start":
-        return ReplayResult(DIGEST_MISMATCH, "", "", None, "missing scenario_start record")
-    if records[-1]["kind"] != "scenario_end":
-        return ReplayResult(DIGEST_MISMATCH, "", "", None, "missing scenario_end record")
-    recorded = records[-1]["detail"]["digest"]
+    """Verify a log read line by line: memory does not grow with its length.
 
+    Only the first record (the config) and the last (the digest) are parsed;
+    the lines between are hashed as they are read, so a malformed one shows
+    as a stream-hash mismatch.
+    """
     hasher = hashlib.sha256()
-    for line in lines[:-1]:
-        hasher.update(line.encode())
-        hasher.update(b"\n")
+    try:
+        with open(path, encoding="utf-8") as fh:  # the newline handling of read_text()
+            first = last = fh.readline()
+            for line in fh:
+                hasher.update(last.encode())  # every line but the last ends in "\n"
+                last = line
+    except UnicodeDecodeError as exc:
+        return ReplayResult(DIGEST_MISMATCH, "", "", None, f"log is not UTF-8: {exc}")
+    if _field(first, "scenario_start") is None:
+        return ReplayResult(DIGEST_MISMATCH, "", "", None,
+                            "missing or malformed scenario_start record")
+    recorded = _field(last, "scenario_end", "detail", "digest")
+    if recorded is None:
+        return ReplayResult(DIGEST_MISMATCH, "", "", None,
+                            "missing or malformed scenario_end record")
+
     stream_digest = hasher.hexdigest()
     if stream_digest != recorded:
         return ReplayResult(
@@ -62,7 +84,7 @@ def replay(path: str | Path, rerun: bool = True) -> ReplayResult:
         return ReplayResult(MATCH, recorded, stream_digest, None, "stream hash verified")
 
     try:
-        config = load_config(records[0]["detail"]["config"])
+        config = load_config(_field(first, "scenario_start", "detail", "config"))
     except ConfigError as exc:
         return ReplayResult(DIGEST_MISMATCH, recorded, stream_digest, None,
                             f"embedded config invalid: {exc}")
@@ -76,43 +98,38 @@ def replay(path: str | Path, rerun: bool = True) -> ReplayResult:
 
 
 def diff_logs(path_a: str | Path, path_b: str | Path, limit: int = 20) -> dict:
-    """First divergence and per-kind deltas between two event logs."""
-    _, records_a = _read_log(Path(path_a))
-    _, records_b = _read_log(Path(path_b))
+    """First divergence and per-kind deltas between two event logs.
+
+    The logs are read in step, one record of each at a time; besides the
+    counts, only the first divergence and at most `limit` divergent pairs
+    from it on (where both logs have a record) are kept.
+    """
+    counts_a: Counter[str] = Counter()
+    counts_b: Counter[str] = Counter()
     first_divergence = None
-    for i, (ra, rb) in enumerate(zip(records_a, records_b)):
-        if ra != rb:
-            first_divergence = {"index": i, "a": ra, "b": rb}
-            break
-    if first_divergence is None and len(records_a) != len(records_b):
-        i = min(len(records_a), len(records_b))
-        first_divergence = {
-            "index": i,
-            "a": records_a[i] if i < len(records_a) else None,
-            "b": records_b[i] if i < len(records_b) else None,
-        }
-
-    def kind_counts(records):
-        counts: dict[str, int] = {}
-        for r in records:
-            counts[r["kind"]] = counts.get(r["kind"], 0) + 1
-        return counts
-
-    counts_a, counts_b = kind_counts(records_a), kind_counts(records_b)
-    deltas = {
-        kind: {"a": counts_a.get(kind, 0), "b": counts_b.get(kind, 0)}
-        for kind in sorted(set(counts_a) | set(counts_b))
-        if counts_a.get(kind, 0) != counts_b.get(kind, 0)
-    }
     divergent_samples = []
-    if first_divergence is not None:
-        start = first_divergence["index"]
-        for ra, rb in zip(records_a[start:start + limit], records_b[start:start + limit]):
+    with open(path_a, encoding="utf-8") as fa, open(path_b, encoding="utf-8") as fb:
+        for i, (line_a, line_b) in enumerate(zip_longest(fa, fb)):
+            ra = rb = None  # past the end of a log
+            if line_a is not None:
+                ra = json.loads(line_a)
+                counts_a[ra["kind"]] += 1
+            if line_b is not None:
+                rb = ra if line_b == line_a else json.loads(line_b)
+                counts_b[rb["kind"]] += 1
             if ra != rb:
-                divergent_samples.append({"a": ra, "b": rb})
+                if first_divergence is None:
+                    first_divergence = {"index": i, "a": ra, "b": rb}
+                if ra is not None and rb is not None and i < first_divergence["index"] + limit:
+                    divergent_samples.append({"a": ra, "b": rb})
+    deltas = {
+        kind: {"a": counts_a[kind], "b": counts_b[kind]}
+        for kind in sorted(counts_a | counts_b)
+        if counts_a[kind] != counts_b[kind]
+    }
     return {
         "identical": first_divergence is None,
-        "records": {"a": len(records_a), "b": len(records_b)},
+        "records": {"a": counts_a.total(), "b": counts_b.total()},
         "first_divergence": first_divergence,
         "kind_deltas": deltas,
         "divergent_samples": divergent_samples,

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import importlib.util
 import json
+import tracemalloc
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -20,7 +21,7 @@ from ozsim.metrics import Sample
 from ozsim.profiles import CorpusSpec, generate_profiles
 from ozsim.replay import diff_logs, replay
 from ozsim.runner import Simulation, run_scenario
-from ozsim.sim import RngStream
+from ozsim.sim import EventLog, RngStream
 
 MINIMAL = {"name": "t", "seed": 1, "duration_ms": 10_000}
 
@@ -357,6 +358,13 @@ def test_run_keeps_no_workflow_report_objects(name):
     assert len(sim.metrics.samples) > 0
 
 
+def cut_line(log: bytes, index: int) -> bytes:
+    """The log with three characters cut off the end of one line."""
+    lines = log.split(b"\n")
+    lines[index] = lines[index][:-3]
+    return b"\n".join(lines)
+
+
 class TestReplay:
     def _record(self, tmp_path, **overrides):
         config = tiny_config(duration_ms=15_000, **overrides)
@@ -377,6 +385,45 @@ class TestReplay:
         verdict = replay(path)
         assert not verdict.ok
         assert verdict.verdict == "digest_mismatch"
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda log: cut_line(log, 5), "stream hash differs"),
+        (lambda log: b"", "scenario_start"),
+        (lambda log: cut_line(log, 0), "scenario_start"),
+        (lambda log: log[:-4], "scenario_end"),  # a run killed mid-write
+        (lambda log: log.replace(b"block", b"bl\xffck", 1), "not UTF-8"),
+    ], ids=["bad-middle-line", "empty", "first-line-not-json", "truncated-last-line",
+            "not-utf-8"])
+    def test_malformed_log_gets_a_verdict(self, tmp_path, capsys, damage, named):
+        self._record(tmp_path)
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(damage(path.read_bytes()))
+        assert cli_main(["replay", "--log", str(path), "--no-rerun"]) == 3
+        out = capsys.readouterr().out
+        assert out.startswith("digest_mismatch: ") and named in out
+
+    @pytest.mark.slow  # parsing 200k records under tracemalloc takes 6-9 s
+    def test_memory_does_not_grow_with_log_length(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            log = EventLog(stream=fh)
+            log.append(0, "harness", "scenario_start", {"config": MINIMAL})
+            for t in range(200_000):
+                log.append(t, "sim", "tick", {"n": t})
+            log.append(200_000, "harness", "scenario_end", {"digest": log.digest()})
+        tracemalloc.start()
+        try:
+            verdict = replay(path, rerun=False)
+            replay_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            report = diff_logs(path, path)
+            diff_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.ok
+        assert report["identical"] and report["records"] == {"a": 200_002, "b": 200_002}
+        assert replay_peak < 1 << 20, f"replay peaked at {replay_peak} bytes"
+        assert diff_peak < 1 << 20, f"diff_logs peaked at {diff_peak} bytes"
 
     def test_diff_reports_divergence_of_faulted_variant(self, tmp_path):
         base = tiny_config(duration_ms=30_000)

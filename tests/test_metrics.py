@@ -1,12 +1,14 @@
+import csv
 import statistics
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ozsim import bench
 from ozsim.agents.orchestrator import WorkflowReport
 from ozsim.config import load_config
-from ozsim.metrics import Columns, MetricsCollector, Sample, _percentile
+from ozsim.metrics import CSV_COLUMNS, Columns, MetricsCollector, Sample, _percentile
 from ozsim.units import from_micro
 
 KINDS = ["onboard", "buy", "sell", "issue", "redeem"]
@@ -142,6 +144,24 @@ def reference_bench_selection(reports: list, samples: list, warmup_ms: int):
     return latencies, failed, [s.tps for s in window], [s.risk_util for s in window]
 
 
+def reference_write_csv(samples: list, path) -> None:
+    """MetricsCollector.write_csv as it wrote a plain list of Samples."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for s in samples:
+            writer.writerow([
+                s.t_ms,
+                "" if s.mid is None else f"{s.mid:.6f}",
+                "" if s.spread_frac is None else f"{s.spread_frac:.8f}",
+                "" if s.bid_depth_oz is None else f"{s.bid_depth_oz:.6f}",
+                "" if s.ask_depth_oz is None else f"{s.ask_depth_oz:.6f}",
+                f"{s.mm_inventory_oz:.6f}",
+                f"{s.tps:.3f}",
+                f"{s.risk_util:.6f}",
+            ])
+
+
 def store_of(row_type, appended: list, **kwargs) -> Columns:
     store = Columns(row_type, **kwargs)
     for row in appended:
@@ -208,3 +228,17 @@ def test_run_count_selects_as_the_list_it_replaces(appended, sampled, cut):
     assert row.sustained_tps == (statistics.fmean(tps) if tps else 0.0)
     assert row.peak_tps == (max(tps) if tps else 0.0)
     assert row.utilization == (statistics.fmean(util) if util else 0.0)
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(samples, max_size=60))
+def test_csv_is_written_as_the_row_loop_it_replaces(csv_dir, sampled):
+    collector = SimpleNamespace(samples=store_of(Sample, sampled))
+    MetricsCollector.write_csv(collector, csv_dir / "columns.csv")
+    reference_write_csv(sampled, csv_dir / "rows.csv")
+    assert (csv_dir / "columns.csv").read_bytes() == (csv_dir / "rows.csv").read_bytes()
