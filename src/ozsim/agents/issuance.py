@@ -9,8 +9,7 @@ halt lifts, so workflows finish late rather than never.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..config import IssuanceSpec
 from ..ledger import (
@@ -21,8 +20,10 @@ from ..ledger import (
 from ..sim import EventLog, RngStream, Scheduler
 from ..vault import InsufficientUnlocked, Vault
 
-ISSUED = "issued"
-REDEEMED = "redeemed"
+ISSUE = "issue"
+REDEEM = "redeem"
+
+COMPLETED = "completed"
 ISSUANCE_FROZEN = "issuance_frozen"
 INSUFFICIENT_HEADROOM = "insufficient_reserve_headroom"
 INSUFFICIENT_VAULT = "insufficient_vault_inventory"
@@ -33,8 +34,11 @@ REVERTED = "reverted"
 ISSUER_ADDRESS = "issuance"  # signs every mint
 
 
-@dataclass(frozen=True)
-class WorkflowResult:
+class WorkflowReport(NamedTuple):
+    """One finished workflow; every pipeline reports in this one type."""
+
+    kind: str
+    user: str
     status: str
     requested_at: int
     finished_at: int
@@ -47,7 +51,7 @@ class WorkflowResult:
 
     @property
     def ok(self) -> bool:
-        return self.status in (ISSUED, REDEEMED)
+        return self.status == COMPLETED
 
 
 class IssuanceAgent:
@@ -81,31 +85,31 @@ class IssuanceAgent:
     # -- issuance ---------------------------------------------------------
 
     def process_issue(
-        self, user: str, amount: int, done: Callable[[WorkflowResult], None]
+        self, user: str, amount: int, done: Callable[[WorkflowReport], None]
     ) -> None:
         """Payment is confirmed instantly upstream; start the mint pipeline."""
         requested_at = self.sched.now()
         if not self.is_approved(user):
-            done(WorkflowResult(COMPLIANCE_BLOCKED, requested_at, requested_at))
+            done(WorkflowReport(ISSUE, user, COMPLIANCE_BLOCKED, requested_at, requested_at))
             return
         if self.is_frozen():
-            done(WorkflowResult(ISSUANCE_FROZEN, requested_at, requested_at))
+            done(WorkflowReport(ISSUE, user, ISSUANCE_FROZEN, requested_at, requested_at))
             return
         delay = self._processing_delay()
 
         def after_processing() -> None:
             now = self.sched.now()
             if self.is_frozen():
-                done(WorkflowResult(ISSUANCE_FROZEN, requested_at, now, agent_ms=delay))
+                done(WorkflowReport(ISSUE, user, ISSUANCE_FROZEN, requested_at, now, delay))
                 return
             headroom = self.ledger.attested_reserve + self.ledger.epsilon - self.ledger.total_supply
             if amount > headroom:
-                done(WorkflowResult(INSUFFICIENT_HEADROOM, requested_at, now, agent_ms=delay))
+                done(WorkflowReport(ISSUE, user, INSUFFICIENT_HEADROOM, requested_at, now, delay))
                 return
             try:
                 ticket = self.vault.lock_for_issuance(amount)
             except InsufficientUnlocked:
-                done(WorkflowResult(INSUFFICIENT_VAULT, requested_at, now, agent_ms=delay))
+                done(WorkflowReport(ISSUE, user, INSUFFICIENT_VAULT, requested_at, now, delay))
                 return
             self._submit_mint(user, amount, ticket, requested_at, delay, done)
 
@@ -117,12 +121,9 @@ class IssuanceAgent:
         def on_receipt(receipt: Receipt) -> None:
             now = self.sched.now()
             if receipt.accepted:
-                done(
-                    WorkflowResult(
-                        ISSUED, requested_at, now,
-                        agent_ms=agent_ms, chain_ms=now - submitted_at,
-                    )
-                )
+                done(WorkflowReport(
+                    ISSUE, user, COMPLETED, requested_at, now, agent_ms, now - submitted_at
+                ))
                 return
             if receipt.reason == REVERT_TRADING_HALTED:
                 # Resubmit once trading resumes; the lock stays in place.
@@ -133,7 +134,7 @@ class IssuanceAgent:
                 )
                 return
             self.vault.release(ticket)
-            done(WorkflowResult(REVERTED, requested_at, now, agent_ms=agent_ms))
+            done(WorkflowReport(ISSUE, user, REVERTED, requested_at, now, agent_ms))
 
         self.ledger.submit_tx(
             "mint", ISSUER_ADDRESS, {"to": user, "amount": amount}, on_receipt=on_receipt
@@ -142,14 +143,14 @@ class IssuanceAgent:
     # -- redemption ----------------------------------------------------------
 
     def process_redeem(
-        self, user: str, amount: int, done: Callable[[WorkflowResult], None]
+        self, user: str, amount: int, done: Callable[[WorkflowReport], None]
     ) -> None:
         requested_at = self.sched.now()
         if not self.is_approved(user):
-            done(WorkflowResult(COMPLIANCE_BLOCKED, requested_at, requested_at))
+            done(WorkflowReport(REDEEM, user, COMPLIANCE_BLOCKED, requested_at, requested_at))
             return
         if self.ledger.balance(user) < amount:
-            done(WorkflowResult(INSUFFICIENT_BALANCE, requested_at, requested_at))
+            done(WorkflowReport(REDEEM, user, INSUFFICIENT_BALANCE, requested_at, requested_at))
             return
         delay = self._processing_delay()
         self.sched.schedule_in(
@@ -165,19 +166,16 @@ class IssuanceAgent:
             if receipt.accepted:
                 ticket = self.vault.authorize_withdrawal(amount)
                 self.vault.withdraw_physical(ticket)
-                done(
-                    WorkflowResult(
-                        REDEEMED, requested_at, now,
-                        agent_ms=agent_ms, chain_ms=now - submitted_at,
-                    )
-                )
+                done(WorkflowReport(
+                    REDEEM, user, COMPLETED, requested_at, now, agent_ms, now - submitted_at
+                ))
                 return
             if receipt.reason == REVERT_TRADING_HALTED:
                 self.ledger.once_breaker_lift(
                     lambda _t: self._submit_burn(user, amount, requested_at, agent_ms, done)
                 )
                 return
-            done(WorkflowResult(REVERTED, requested_at, now, agent_ms=agent_ms))
+            done(WorkflowReport(REDEEM, user, REVERTED, requested_at, now, agent_ms))
 
         self.ledger.submit_tx(
             "burn", user, {"owner": user, "amount": amount}, on_receipt=on_receipt

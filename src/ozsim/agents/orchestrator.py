@@ -10,24 +10,22 @@ workflow are reported to a single callback for metrics and closed-loop load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from ..config import ScenarioConfig
 from ..exchange import ASK, BID, Exchange, NotOnboarded, TradingHalted
 from ..ledger import Ledger
 from ..oracle import OracleHub
 from ..sim import EventLog, RngStream, Scheduler
-from .compliance import APPROVED, ComplianceAgent, ComplianceDecision, MANUAL_REVIEW, UserProfile
-from .issuance import IssuanceAgent, WorkflowResult
+from ..units import to_micro
+from .compliance import APPROVED, ComplianceAgent, MANUAL_REVIEW, UserProfile
+from .issuance import COMPLETED, ISSUE, REDEEM, IssuanceAgent, WorkflowReport
 from .risk import RiskAgent
 
 ONBOARD = "onboard"
 BUY = "buy"
 SELL = "sell"
-ISSUE = "issue"
-REDEEM = "redeem"
 
-COMPLETED = "completed"
 UNFILLED = "unfilled"
 NOT_ONBOARDED = "not_onboarded"
 TRADING_HALTED = "trading_halted"
@@ -38,28 +36,8 @@ PRE_TRADE_MIN_MS = 50  # floor of the pre-trade screening delay
 
 @dataclass
 class UserState:
-    profile: UserProfile
     approved: bool = False
-    decision: Optional[ComplianceDecision] = None
     holdings: int = 0  # micro-OZ economic position, fills included
-
-
-class WorkflowReport(NamedTuple):
-    kind: str
-    user: str
-    status: str
-    requested_at: int
-    finished_at: int
-    agent_ms: int = 0
-    chain_ms: int = 0
-
-    @property
-    def latency_ms(self) -> int:
-        return self.finished_at - self.requested_at
-
-    @property
-    def ok(self) -> bool:
-        return self.status == COMPLETED
 
 
 class Orchestrator:
@@ -122,11 +100,11 @@ class Orchestrator:
     # -- onboarding ------------------------------------------------------------
 
     def onboard(self, profile: UserProfile) -> None:
-        state = UserState(profile)
-        self.users[profile.user_id] = state
+        user = profile.user_id
+        state = UserState(holdings=to_micro(self.config.prefund_oz))
+        self.users[user] = state
         now = self.sched.now()
         decision = self.compliance.screen(profile, now, self.rng)
-        state.decision = decision
 
         def finish() -> None:
             status = decision.outcome
@@ -134,7 +112,7 @@ class Orchestrator:
                 state.approved = True
             self._report(
                 WorkflowReport(
-                    ONBOARD, profile.user_id, COMPLETED if state.approved else status,
+                    ONBOARD, user, COMPLETED if state.approved else status,
                     now, self.sched.now(), agent_ms=decision.processing_time_ms,
                 )
             )
@@ -215,17 +193,11 @@ class Orchestrator:
         self.sched.schedule_in(flow.delay, 2, "pre_trade_check", flow.place)
 
     def _run_issue(self, user: str, amount: int, requested_at: int) -> None:
-        def done(result: WorkflowResult) -> None:
+        def done(report: WorkflowReport) -> None:
             state = self.users.get(user)
-            if result.ok and state is not None:
+            if report.ok and state is not None:
                 state.holdings += amount
-            self._report(
-                WorkflowReport(
-                    ISSUE, user, COMPLETED if result.ok else result.status,
-                    requested_at, result.finished_at,
-                    agent_ms=result.agent_ms, chain_ms=result.chain_ms,
-                )
-            )
+            self._report(report._replace(requested_at=requested_at))
 
         self.issuance.process_issue(user, amount, done)
 
@@ -238,16 +210,10 @@ class Orchestrator:
             return
         state.holdings -= amount
 
-        def done(result: WorkflowResult) -> None:
-            if not result.ok:
+        def done(report: WorkflowReport) -> None:
+            if not report.ok:
                 state.holdings += amount
-            self._report(
-                WorkflowReport(
-                    REDEEM, user, COMPLETED if result.ok else result.status,
-                    requested_at, result.finished_at,
-                    agent_ms=result.agent_ms, chain_ms=result.chain_ms,
-                )
-            )
+            self._report(report._replace(requested_at=requested_at))
 
         self.issuance.process_redeem(user, amount, done)
 

@@ -51,8 +51,6 @@ class AdmissionGate:
     """
 
     def __init__(self, service_rate: float, headroom: float):
-        self.service_rate = service_rate
-        self.headroom = headroom
         self._spacing_ms = 1000.0 / (service_rate * headroom)
         self._work_ms_per_event = 1000.0 / service_rate
         self._next_free_ms = 0.0

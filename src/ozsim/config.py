@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Annotated, Any, Optional, Union, get_args, get_origin, get_type_hints
 
 from .ledger import PARAM_DEFAULTS, OutOfBounds, ParamStore
-from .oracle import PRIMARY, SECONDARY
+from .oracle import PRIMARY, SECONDARY, Regime
 from .units import to_micro
 
 
@@ -34,16 +34,10 @@ NonNegativeInt = Annotated[int, 0, "must be NonNegativeInt"]
 
 
 @dataclass
-class RegimeSpec:
-    start_ms: int = 0
-    sigma_per_s: float = 0.0
-
-
-@dataclass
 class PriceSpec:
     initial_usd_per_oz: float = 2400.0
     drift_per_s: float = 0.0
-    regimes: list[RegimeSpec] = field(default_factory=lambda: [RegimeSpec(0, 5e-5)])
+    regimes: list[Regime] = field(default_factory=lambda: [Regime(0, 5e-5)])
 
 
 @dataclass

@@ -42,7 +42,6 @@ class Tx:
     kind: str  # mint | burn | transfer | post_price | set_reserve | governance
     sender: str
     payload: dict
-    submitted_at: int
     on_receipt: Optional[Callable[[Receipt], None]] = None
 
 
@@ -246,7 +245,7 @@ class Ledger:
         payload: dict,
         on_receipt: Optional[Callable[[Receipt], None]] = None,
     ) -> int:
-        tx = Tx(self._next_tx_id, kind, sender, payload, self.sched.now(), on_receipt)
+        tx = Tx(self._next_tx_id, kind, sender, payload, on_receipt)
         self._next_tx_id += 1
         self._queue.append(tx)
         return tx.tx_id

@@ -27,7 +27,6 @@ class UnknownFeed(Exception):
 
 @dataclass(frozen=True)
 class PriceSample:
-    feed: str
     price: int  # micro-USD per OZ
     t: int
 
@@ -35,21 +34,19 @@ class PriceSample:
 @dataclass
 class Fault:
     kind: str  # "stuck" | "spoofed"
-    since: int
     offset_fraction: float = 0.0
 
 
 @dataclass
 class FeedState:
-    feed: str
     last: PriceSample
     fault: Optional[Fault] = None
 
 
 @dataclass(frozen=True)
 class Regime:
-    start_ms: int
-    sigma_per_s: float
+    start_ms: int = 0
+    sigma_per_s: float = 0.0
 
 
 class PriceProcess:
@@ -116,8 +113,8 @@ class OracleHub:
         now = sched.now()
         p = process.price
         self.feeds: dict[str, FeedState] = {
-            PRIMARY: FeedState(PRIMARY, PriceSample(PRIMARY, p, now)),
-            SECONDARY: FeedState(SECONDARY, PriceSample(SECONDARY, p, now)),
+            PRIMARY: FeedState(PriceSample(p, now)),
+            SECONDARY: FeedState(PriceSample(p, now)),
         }
         self.active_feed = PRIMARY
         self.true_price = p
@@ -143,7 +140,7 @@ class OracleHub:
             price = round(price * (1.0 + self.noise_rng.gauss(0.0, self.secondary_noise_frac)))
         if fault is not None and fault.kind == "spoofed":
             price = round(price * (1.0 + fault.offset_fraction))
-        state.last = PriceSample(feed, price, now)
+        state.last = PriceSample(price, now)
         if self.post_price is not None:
             self.post_price(feed, price)
 
@@ -175,7 +172,7 @@ class OracleHub:
     def inject_fault(self, feed: str, kind: str, now: int, offset_fraction: float = 0.0) -> None:
         if feed not in self.feeds:
             raise UnknownFeed(feed)
-        self.feeds[feed].fault = Fault(kind, now, offset_fraction)
+        self.feeds[feed].fault = Fault(kind, offset_fraction)
         self.log.append(
             now, "oracle", "fault_injected",
             {"feed": feed, "kind": kind, "offset": offset_fraction},

@@ -21,6 +21,7 @@ from .runner import run_scenario
 
 MATCH = "match"
 DIGEST_MISMATCH = "digest_mismatch"
+MALFORMED = "(malformed)"  # diff_logs' kind for a line that is not a record
 
 
 @dataclass
@@ -97,12 +98,26 @@ def replay(path: str | Path, rerun: bool = True) -> ReplayResult:
     return ReplayResult(MATCH, recorded, stream_digest, result.digest, "re-run digest matches")
 
 
+def _record(line: str) -> tuple:
+    """(record, kind) of a log line; a line that is not a JSON record with a
+    string kind is kept as its text, of kind MALFORMED."""
+    try:
+        record = json.loads(line)
+        kind = record["kind"]
+    except (ValueError, LookupError, TypeError):  # not JSON, not an object, no kind
+        kind = None
+    if not isinstance(kind, str):
+        return line.rstrip("\n"), MALFORMED
+    return record, kind
+
+
 def diff_logs(path_a: str | Path, path_b: str | Path, limit: int = 20) -> dict:
     """First divergence and per-kind deltas between two event logs.
 
     The logs are read in step, one record of each at a time; besides the
     counts, only the first divergence and at most `limit` divergent pairs
-    from it on (where both logs have a record) are kept.
+    from it on (where both logs have a record) are kept.  A malformed line
+    is a record shown by its text, so it diverges from any parsed record.
     """
     counts_a: Counter[str] = Counter()
     counts_b: Counter[str] = Counter()
@@ -112,11 +127,11 @@ def diff_logs(path_a: str | Path, path_b: str | Path, limit: int = 20) -> dict:
         for i, (line_a, line_b) in enumerate(zip_longest(fa, fb)):
             ra = rb = None  # past the end of a log
             if line_a is not None:
-                ra = json.loads(line_a)
-                counts_a[ra["kind"]] += 1
+                ra, kind = _record(line_a)
+                counts_a[kind] += 1
             if line_b is not None:
-                rb = ra if line_b == line_a else json.loads(line_b)
-                counts_b[rb["kind"]] += 1
+                rb, kind = (ra, kind) if line_b == line_a else _record(line_b)
+                counts_b[kind] += 1
             if ra != rb:
                 if first_divergence is None:
                     first_divergence = {"index": i, "a": ra, "b": rb}

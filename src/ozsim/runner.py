@@ -22,7 +22,7 @@ from .exchange import Exchange
 from .governance import Governance
 from .ledger import Ledger, ParamStore
 from .metrics import MetricsCollector, write_alerts_csv, write_summary
-from .oracle import OracleHub, PriceProcess, Regime
+from .oracle import OracleHub, PriceProcess
 from .profiles import CorpusSpec, generate_profiles
 from .sim import EventLog, Scheduler
 from .units import from_micro, to_micro
@@ -140,7 +140,6 @@ class Simulation:
                 "set_reserve", auditor, {"amount": amount}
             ),
         )
-        regimes = [Regime(r.start_ms, r.sigma_per_s) for r in config.price.regimes]
         self.oracle = OracleHub(
             self.sched,
             self.log,
@@ -148,7 +147,7 @@ class Simulation:
                 config.price.initial_usd_per_oz,
                 self.sched.fork_rng("price"),
                 drift_per_s=config.price.drift_per_s,
-                regimes=regimes,
+                regimes=config.price.regimes,
             ),
             self.sched.fork_rng("secondary-noise"),
             secondary_noise_frac=config.secondary_noise_frac,
@@ -200,9 +199,6 @@ class Simulation:
     def _on_report(self, report) -> None:
         self.metrics.on_report(report)
         if report.kind == "onboard" and report.ok:
-            state = self.orchestrator.users.get(report.user)
-            if state is not None and self.config.prefund_oz > 0:
-                state.holdings = to_micro(self.config.prefund_oz)
             self.loadgen.start_user(report.user)
         else:
             self.loadgen.on_report(report)
@@ -228,9 +224,9 @@ class Simulation:
         )
         if self.config.preapproved_users:
             for profile in profiles:
-                state = UserState(profile, approved=True)
-                state.holdings = to_micro(self.config.prefund_oz)
-                self.orchestrator.users[profile.user_id] = state
+                self.orchestrator.users[profile.user_id] = UserState(
+                    approved=True, holdings=to_micro(self.config.prefund_oz)
+                )
                 self.loadgen.start_user(profile.user_id)
             return
         for profile in profiles:

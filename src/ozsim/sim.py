@@ -55,7 +55,6 @@ class RngStream(random.Random):
             raise ValueError("rng stream label must be non-empty")
         digest = hashlib.sha256(f"{seed}\x1f{label}".encode()).digest()
         super().__init__(int.from_bytes(digest, "big"))
-        self.label = label
 
 
 class Scheduler:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ozsim.agents.compliance import APPROVED, DENIED, MANUAL_REVIEW
+from ozsim.agents.compliance import APPROVED, DENIED, MANUAL_REVIEW, UserProfile
 from ozsim.agents.orchestrator import WorkflowReport
 from ozsim.bench import bench_config
 from ozsim.checks import run_checks
@@ -338,9 +338,9 @@ def test_run_leaves_no_cyclic_garbage(name):
 @pytest.mark.parametrize("name", bundled_scenario_names())
 def test_run_keeps_no_workflow_report_objects(name):
     """The collector keeps workflow reports and samples as columns, not one
-    tuple each.
+    tuple each, and no user keeps its onboarding profile.
 
-    Both row types are counted in the one run.  The collector stays off for
+    Every type is counted in the one run.  The collector stays off for
     the run: a collection untracks tuples that hold only atomic values, which
     would hide the kept rows from gc.get_objects().
     """
@@ -352,7 +352,8 @@ def test_run_keeps_no_workflow_report_objects(name):
         kept = Counter(type(obj) for obj in gc.get_objects())
     finally:
         gc.enable()
-    for row_type in (WorkflowReport, Sample):
+    # nothing reads a profile once its user is screened or preapproved
+    for row_type in (WorkflowReport, Sample, UserProfile):
         assert kept[row_type] == 0, f"{name} kept {kept[row_type]} {row_type.__name__} objects"
     assert len(sim.metrics.reports) > 0
     assert len(sim.metrics.samples) > 0
@@ -476,6 +477,21 @@ class TestCli:
         text = log.read_text().replace('"seed":1', '"seed":3', 1)
         log.write_text(text)
         assert cli_main(["replay", "--log", str(log)]) == 3
+
+    def test_replay_diff_against_a_truncated_log(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["run", "--scenario", "table1-oracle", "--out", str(out)]) == 0
+        log = (out / "events.jsonl").read_bytes()
+        kept = log[:-200]  # a run killed mid-write
+        cut = tmp_path / "cut.jsonl"
+        cut.write_bytes(kept)
+        capsys.readouterr()
+        assert cli_main(["replay", "--log", str(out / "events.jsonl"),
+                         "--diff-against", str(cut)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        index, text = kept.count(b"\n"), kept.rsplit(b"\n", 1)[1].decode()
+        assert printed[0] == f"logs diverge at record {index}"
+        assert f"  b: {text}" in printed  # the cut line, shown as it is
 
     def test_bench_descending_counts_is_a_config_error(self, capsys):
         assert cli_main(["bench", "--users", "200,100"]) == 1

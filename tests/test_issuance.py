@@ -3,11 +3,10 @@ import json
 import pytest
 
 from ozsim.agents.issuance import (
+    COMPLETED,
     INSUFFICIENT_BALANCE,
     INSUFFICIENT_HEADROOM,
     ISSUANCE_FROZEN,
-    ISSUED,
-    REDEEMED,
     REVERTED,
 )
 from ozsim.units import to_micro
@@ -27,7 +26,7 @@ class TestIssue:
         w.issuance.process_issue("alice", to_micro(5), results.append)
         w.run_to(12_000)
         (res,) = results
-        assert res.status == ISSUED
+        assert res.status == COMPLETED
         # request 10.000 s -> processing to 10.400 s -> block 11.000 s ->
         # confirmation observable 11.300 s: 1.3 s end to end.
         assert res.agent_ms == 400
@@ -79,7 +78,7 @@ class TestIssue:
         w.issuance.process_issue("b", to_micro(400), results.append)
         w.run_to(12_000)
         statuses = sorted(r.status for r in results)
-        assert statuses == [ISSUED, REVERTED]
+        assert statuses == [COMPLETED, REVERTED]
         assert w.ledger.total_supply == to_micro(700)
         # only the accepted mint's lock is retained
         assert w.vault.locked_micro_oz == to_micro(700)
@@ -95,7 +94,7 @@ class TestIssue:
         w.run_to(60_000)
         assert results == []  # still pending through the halt
         w.run_to(312_000)  # lift at 310_500, retry lands in the next block
-        assert results and results[0].status == ISSUED
+        assert results and results[0].status == COMPLETED
         assert w.ledger.balance("alice") == to_micro(5)
 
 
@@ -108,7 +107,7 @@ class TestRedeem:
         w.issuance.process_redeem("alice", to_micro(5), results.append)
         w.run_to(12_000)
         (res,) = results
-        assert res.status == REDEEMED
+        assert res.status == COMPLETED
         assert w.ledger.balance("alice") == 0
         assert w.vault.total_micro_oz == to_micro(995)
         assert w.ledger.total_supply == to_micro(300)  # MM endowment remains
@@ -123,7 +122,7 @@ class TestRedeem:
         w.run_to(300_000)
         assert results == []
         w.run_to(312_000)
-        assert results and results[0].status == REDEEMED
+        assert results and results[0].status == COMPLETED
         assert w.vault.total_micro_oz == to_micro(995)
 
     def test_insufficient_balance_fails_immediately(self, world_factory):
@@ -143,7 +142,7 @@ def test_vault_and_chain_stay_consistent_through_issue_redeem_cycle(world_factor
     w.run_to(8_000)
     w.issuance.process_redeem("alice", to_micro(20), results.append)
     w.run_to(70_000)  # past the next attestation
-    assert [r.status for r in results] == [ISSUED, REDEEMED]
+    assert [r.status for r in results] == [COMPLETED, COMPLETED]
     # attested reserve reflects the withdrawal; supply matches backing
     assert w.ledger.attested_reserve == w.vault.total_micro_oz
     assert w.ledger.total_supply == to_micro(330)

@@ -67,8 +67,8 @@ class TestPriceProcess:
 
 class TestDivergence:
     def _feeds(self, p_price, s_price, p_t, s_t):
-        p = FeedState(PRIMARY, PriceSample(PRIMARY, p_price, p_t))
-        s = FeedState(SECONDARY, PriceSample(SECONDARY, s_price, s_t))
+        p = FeedState(PriceSample(p_price, p_t))
+        s = FeedState(PriceSample(s_price, s_t))
         return p, s
 
     def test_stale_primary_after_threshold(self):

@@ -2,6 +2,7 @@ import pytest
 
 from ozsim.agents.compliance import UserProfile
 from ozsim.agents.orchestrator import UserState
+from ozsim.agents.risk import AdmissionGate
 from ozsim.exchange import ASK, BID
 from ozsim.units import to_micro
 
@@ -54,7 +55,7 @@ def test_buy_from_non_onboarded_user_rejected(world_factory):
 
 def test_sell_beyond_holdings_rejected_without_commitment(world_factory):
     w = world_factory(start_mm=True)
-    w.orchestrator.users["carol"] = UserState(UserProfile("carol"), approved=True)
+    w.orchestrator.users["carol"] = UserState(approved=True)
     w.run_to(5_000)
     w.orchestrator.handle("sell", "carol", to_micro(3))
     w.run_to(6_000)
@@ -85,7 +86,7 @@ def test_manual_review_user_approved_after_resolution(world_factory):
 
 def trader(w, name, oz=0):
     """An approved user whose orchestrator position matches a genesis balance."""
-    w.orchestrator.users[name] = UserState(UserProfile(name), approved=True, holdings=to_micro(oz))
+    w.orchestrator.users[name] = UserState(approved=True, holdings=to_micro(oz))
 
 
 def test_unfilled_market_order_reports_once(world_factory):
@@ -202,3 +203,41 @@ def test_unknown_action_rejected_before_admission(world_factory):
     assert (gate._next_free_ms, list(gate._work)) == before
     w.run_to(30_000)
     assert w.reports == []
+
+
+# -- issue and redeem: the issuance agent's report, forwarded -------------------
+
+
+def test_issue_latency_counts_the_admission_wait(world_factory):
+    w = world_factory(issuance_sigma=0.0)
+    trader(w, "alice")
+    w.risk.gate = AdmissionGate(service_rate=1.0, headroom=1.0)  # one event a second
+    w.run_to(10_000)
+    w.risk.gate.admit(10_000)  # the pipeline is busy until 11.000 s
+    w.orchestrator.handle("issue", "alice", to_micro(5))
+    w.run_to(20_000)
+    (report,) = w.reports
+    assert report.ok
+    # admitted 11.000 s -> processed 11.400 s -> block 12.000 s -> observable 12.300 s
+    assert (report.requested_at, report.finished_at) == (10_000, 12_300)
+    assert (report.agent_ms, report.chain_ms) == (400, 900)
+    assert report.latency_ms == 2_300
+    assert w.orchestrator.holdings("alice") == to_micro(5) == w.ledger.balance("alice")
+
+
+def test_redeem_whose_burn_reverts_returns_the_holdings(world_factory):
+    w = world_factory(issuance_sigma=0.0, genesis_balances={"carol": 5})
+    trader(w, "carol", oz=5)
+    trader(w, "dave")
+    w.run_to(10_000)
+    w.orchestrator.handle("redeem", "carol", to_micro(5))
+    assert w.orchestrator.holdings("carol") == 0  # committed to the redemption
+    # the balance leaves in the same block, ahead of the burn submitted at 10.400 s
+    w.ledger.submit_tx("transfer", "carol", {"from": "carol", "to": "dave", "amount": to_micro(5)})
+    w.run_to(20_000)
+    (report,) = w.reports
+    assert (report.kind, report.status) == ("redeem", "reverted")
+    assert (report.requested_at, report.finished_at, report.agent_ms) == (10_000, 11_300, 400)
+    assert w.vault.total_micro_oz == to_micro(1000)  # no metal left the vault
+    assert w.orchestrator.holdings("carol") == to_micro(5)
+    assert w.ledger.balance("dave") == to_micro(5)
