@@ -315,6 +315,10 @@ def load_config(data: dict) -> ScenarioConfig:
                 store.set(key, config.params[key], reserve)
             except OutOfBounds as exc:
                 errors.append(f"scenario.params: out-of-bounds ledger parameter {exc}")
+        for i, entry in enumerate(config.governance_schedule):
+            if isinstance(entry, ParamProposal) and entry.param not in PARAM_DEFAULTS:
+                errors.append(f"scenario.governance_schedule[{i}].param: "
+                              f"unknown ledger parameter {entry.param!r}")
         if config.load_model not in ("open", "closed"):
             errors.append(f"scenario.load_model: {config.load_model!r} is not open|closed")
         if config.order_style not in ("market", "mixed"):

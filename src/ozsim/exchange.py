@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .config import ScenarioConfig
 from .ledger import Ledger, Receipt
 from .sim import EventLog, Scheduler
 
@@ -223,16 +224,14 @@ class Exchange:
         sched: Scheduler,
         log: EventLog,
         ledger: Ledger,
+        config: ScenarioConfig,
         onboarded: Optional[Callable[[str], bool]] = None,
-        settle_interval_ms: int = 1000,
-        log_trades: bool = True,
     ):
         self.sched = sched
         self.log = log
         self.ledger = ledger
+        self.config = config
         self.onboarded = onboarded
-        self.settle_interval_ms = settle_interval_ms
-        self.log_trades = log_trades
         self.book = OrderBook()
         self.trade_count = 0
         self.traded_micro_oz = 0
@@ -319,7 +318,7 @@ class Exchange:
         key = _pair_key(seller, buyer)
         signed = trade.qty if seller == key[0] else -trade.qty
         self._flows[key] = self._flows.get(key, 0) + signed
-        if self.log_trades:
+        if self.config.log_trades:
             self.log.append(
                 trade.t,
                 "exchange",
@@ -337,7 +336,8 @@ class Exchange:
     # -- settlement -----------------------------------------------------------
 
     def start_settlement(self) -> None:
-        interval = self.settle_interval_ms
+        """Settle once a block."""
+        interval = self.config.block_interval_ms
         self.sched.every(self.sched.now() + interval, interval, 0, "settle", self.settle_batch)
 
     def settle_batch(self) -> list[int]:

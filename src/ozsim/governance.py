@@ -13,6 +13,11 @@ from typing import Callable, Optional
 
 from .ledger import Ledger, OutOfBounds, Receipt, ACCEPTED
 
+SIGNERS = frozenset({"signer-1", "signer-2", "signer-3"})  # agent-update multi-sig
+SIGNERS_REQUIRED = 2
+QUORUM_FRACTION = 0.4  # of the snapshot's total power, for a parameter vote
+TIMELOCK_MS = 86_400_000  # for a parameter proposal that sets none
+
 
 class NotASigner(Exception):
     pass
@@ -27,8 +32,6 @@ class MultisigProposal:
     proposal_id: int
     agent: str
     version: str
-    signers_required: int
-    signer_set: frozenset[str]
     signatures: set[str] = field(default_factory=set)
     executed: bool = False
 
@@ -36,7 +39,7 @@ class MultisigProposal:
     def status(self) -> str:
         if self.executed:
             return "executed"
-        if len(self.signatures) >= self.signers_required:
+        if len(self.signatures) >= SIGNERS_REQUIRED:
             return "executable"
         return "pending"
 
@@ -48,7 +51,6 @@ class ParamProposal:
     new_value: float | int
     proposed_at: int
     timelock_ms: int
-    quorum_fraction: float
     total_power: int
     power_snapshot: dict[str, int]
     votes_for: int = 0
@@ -60,7 +62,7 @@ class ParamProposal:
 def tally(proposal: ParamProposal, total_power: int) -> str:
     """Close the vote: passed iff quorum met and strict majority in favour."""
     turnout = proposal.votes_for + proposal.votes_against
-    if turnout < proposal.quorum_fraction * total_power:
+    if turnout < QUORUM_FRACTION * total_power:
         return "rejected"
     if proposal.votes_for > proposal.votes_against:
         return "passed"
@@ -70,20 +72,8 @@ def tally(proposal: ParamProposal, total_power: int) -> str:
 class Governance:
     """Governance actions routed through the ledger as ordinary transactions."""
 
-    def __init__(
-        self,
-        ledger: Ledger,
-        signer_set: Optional[set[str]] = None,
-        signers_required: int = 2,
-        quorum_fraction: float = 0.4,
-        timelock_ms: int = 86_400_000,
-        alert_sink: Optional[Callable[[str, dict], None]] = None,
-    ):
+    def __init__(self, ledger: Ledger, alert_sink: Optional[Callable[[str, dict], None]] = None):
         self.ledger = ledger
-        self.signer_set = frozenset(signer_set or {"signer-1", "signer-2", "signer-3"})
-        self.signers_required = signers_required
-        self.quorum_fraction = quorum_fraction
-        self.timelock_ms = timelock_ms
         self.alert_sink = alert_sink
         self._next_id = 1
         self.multisig_proposals: dict[int, MultisigProposal] = {}
@@ -97,16 +87,14 @@ class Governance:
     # -- multi-sig agent updates -------------------------------------------
 
     def propose_update(self, agent: str, version: str) -> MultisigProposal:
-        proposal = MultisigProposal(
-            self._next_id, agent, version, self.signers_required, self.signer_set
-        )
+        proposal = MultisigProposal(self._next_id, agent, version)
         self._next_id += 1
         self.multisig_proposals[proposal.proposal_id] = proposal
         self._log("update_proposed", {"id": proposal.proposal_id, "agent": agent, "version": version})
         return proposal
 
     def sign_update(self, proposal: MultisigProposal, signer: str) -> str:
-        if signer not in proposal.signer_set:
+        if signer not in SIGNERS:
             raise NotASigner(signer)
         if proposal.executed:
             raise AlreadyExecuted(proposal.proposal_id)
@@ -144,8 +132,7 @@ class Governance:
             param_key,
             new_value,
             proposed_at=now,
-            timelock_ms=self.timelock_ms if timelock_ms is None else timelock_ms,
-            quorum_fraction=self.quorum_fraction,
+            timelock_ms=TIMELOCK_MS if timelock_ms is None else timelock_ms,
             total_power=self.ledger.total_supply,
             power_snapshot=snapshot,
         )

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .sim import EventLog, Scheduler
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import ScenarioConfig
 
 REVERT_RESERVE_CEILING = "Reserve ceiling exceeded"
 REVERT_ISSUANCE_PAUSED = "issuance paused"
@@ -21,6 +24,8 @@ REVERT_INSUFFICIENT_BALANCE = "insufficient balance"
 REVERT_UNAUTHORIZED = "unauthorized"
 
 BLOCK_PRIORITY = 1
+
+AUDITOR = "auditor-1"  # the one key whose reserve attestations the ledger accepts
 
 
 class OutOfBounds(Exception):
@@ -157,28 +162,12 @@ class Ledger:
     halt lifts automatically after the cooldown or earlier via governance.
     """
 
-    def __init__(
-        self,
-        sched: Scheduler,
-        log: EventLog,
-        params: Optional[ParamStore] = None,
-        block_interval_ms: int = 1000,
-        commit_latency_ms: int = 300,
-        commit_jitter_ms: int = 0,
-        authorized_auditors: Optional[set[str]] = None,
-        max_txs_per_block: int = 100_000,
-    ):
+    def __init__(self, sched: Scheduler, log: EventLog, config: ScenarioConfig):
         self.sched = sched
         self.log = log
-        self.params = params or ParamStore()
-        self.block_interval_ms = block_interval_ms
-        self.commit_latency_ms = commit_latency_ms
-        # per-tx confirmation propagation spread, symmetric around the commit
-        # latency in 25 ms steps; zero means one delivery per block
-        self.commit_jitter_ms = commit_jitter_ms
-        self._jitter_rng = sched.fork_rng("commit-jitter") if commit_jitter_ms else None
-        self.authorized_auditors = authorized_auditors or set()
-        self.max_txs_per_block = max_txs_per_block
+        self.config = config
+        self.params = ParamStore(config.params)
+        self._jitter_rng = sched.fork_rng("commit-jitter") if config.commit_jitter_ms else None
 
         self.balances: dict[str, int] = {}
         self.total_supply = 0
@@ -199,7 +188,8 @@ class Ledger:
         self._price_window = PriceWindow()  # (t_ms, micro-USD) reference posts
         # one-shot listeners for the next lift, in registration order
         self._lift_listeners: list[Callable[[int], None]] = []
-        self._touched: set[str] = set()
+        # insertion-ordered, so the concentration sweep does not depend on string hashing
+        self._touched: dict[str, None] = {}
         self._supply_changed = False
         self._started = False
 
@@ -211,7 +201,7 @@ class Ledger:
             return
         self._started = True
         self.sched.every(
-            self.sched.now() + self.block_interval_ms, self.block_interval_ms,
+            self.sched.now() + self.config.block_interval_ms, self.config.block_interval_ms,
             BLOCK_PRIORITY, "block", self._produce_block,
         )
 
@@ -221,7 +211,7 @@ class Ledger:
             raise RuntimeError("genesis_mint after start")
         self.balances[recipient] = self.balances.get(recipient, 0) + amount
         self.total_supply += amount
-        self._touched.add(recipient)
+        self._touched[recipient] = None
         self._supply_changed = True
         self.log.append(
             self.sched.now(),
@@ -255,8 +245,9 @@ class Ledger:
     def _produce_block(self) -> None:
         now = self.sched.now()
         self.height += 1
-        batch = self._queue[: self.max_txs_per_block]
-        self._queue = self._queue[self.max_txs_per_block :]
+        cap = self.config.max_txs_per_block
+        batch = self._queue[:cap]
+        self._queue = self._queue[cap:]
         receipts: list[tuple[Optional[Callable[[Receipt], None]], Receipt]] = []
         tx_rows: list[list] = []
         for tx in batch:
@@ -279,8 +270,10 @@ class Ledger:
             },
         )
         # Only receipts with a callback get a confirmation event; the rest
-        # would fire one that calls nothing.
-        j = self.commit_jitter_ms
+        # would fire one that calls nothing.  The commit jitter spreads
+        # confirmations symmetrically around the commit latency in 25 ms
+        # steps; zero means one delivery per block.
+        j = self.config.commit_jitter_ms
         buckets: dict[int, list] = {}
         for item in receipts:
             # Drawn for every receipt, so the stream does not depend on
@@ -290,7 +283,7 @@ class Ledger:
                 buckets.setdefault(offset, []).append(item)
         for offset, group in sorted(buckets.items()):
             self.sched.schedule(
-                now + self.commit_latency_ms + offset, 2, "confirmations",
+                now + self.config.commit_latency_ms + offset, 2, "confirmations",
                 lambda r=group: self._confirm(r),
             )
 
@@ -331,7 +324,7 @@ class Ledger:
             return Receipt(False, REVERT_TRADING_HALTED)
         self.balances[recipient] = self.balances.get(recipient, 0) + amount
         self.total_supply += amount
-        self._touched.add(recipient)
+        self._touched[recipient] = None
         self._supply_changed = True
         return ACCEPTED
 
@@ -344,7 +337,7 @@ class Ledger:
             return Receipt(False, REVERT_INSUFFICIENT_BALANCE)
         self.balances[owner] -= amount
         self.total_supply -= amount
-        self._touched.add(owner)
+        self._touched[owner] = None
         self._supply_changed = True
         return ACCEPTED
 
@@ -355,12 +348,12 @@ class Ledger:
             return Receipt(False, REVERT_INSUFFICIENT_BALANCE)
         self.balances[src] -= amount
         self.balances[dst] = self.balances.get(dst, 0) + amount
-        self._touched.add(src)
-        self._touched.add(dst)
+        self._touched[src] = None
+        self._touched[dst] = None
         return ACCEPTED
 
     def set_attested_reserve(self, amount: int, auditor: str) -> Receipt:
-        if auditor not in self.authorized_auditors:
+        if auditor != AUDITOR:
             return Receipt(False, REVERT_UNAUTHORIZED)
         now = self.sched.now()
         self.attested_reserve = amount
@@ -376,10 +369,11 @@ class Ledger:
     def balance(self, addr: str) -> int:
         return self.balances.get(addr, 0)
 
-    def drain_touched(self) -> tuple[set[str], bool]:
-        """Addresses whose balances changed since the last drain, plus a flag
-        for supply changes (used by the risk agent's concentration sweep)."""
-        touched, self._touched = self._touched, set()
+    def drain_touched(self) -> tuple[dict[str, None], bool]:
+        """Addresses whose balances changed since the last drain, in the order
+        they first changed, plus a flag for supply changes (used by the risk
+        agent's concentration sweep)."""
+        touched, self._touched = self._touched, {}
         changed, self._supply_changed = self._supply_changed, False
         return touched, changed
 

@@ -17,6 +17,7 @@ import csv
 import json
 import statistics
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from functools import cache, partial
 from math import nan
@@ -42,7 +43,6 @@ class Sample(NamedTuple):
     tps: float
     risk_util: float
     halted: bool
-    sigma: float
     half_spread: float
     ref_price: Optional[float]
 
@@ -176,8 +176,8 @@ class MetricsCollector:
         self.samples.append(Sample(
             now, mid, spread, bid_depth, ask_depth, from_micro(self.mm.inventory), tps,
             self.risk.gate.utilization_since_last_sample(now, elapsed),
-            bool(self.ledger.trading_paused), self.oracle.process.sigma_at(now),
-            self.mm.current_half_spread, self.oracle.reference_price() / MICRO,
+            bool(self.ledger.trading_paused), self.mm.current_half_spread,
+            self.oracle.reference_price() / MICRO,
         ))
         self._last_sample_ms = now
 
@@ -222,15 +222,22 @@ class MetricsCollector:
             stats[names[kind]] = entry
         return stats
 
-    def spread_stats(self, regimes) -> list[dict]:
-        """Per price regime: spread band occupancy over quoted, unhalted samples."""
+    def spread_stats(self) -> list[dict]:
+        """Per price regime: spread band occupancy over quoted, unhalted samples.
+
+        A sample belongs to the regime in force at its time, as the price
+        process decides it; sample times are sorted, so each regime's samples
+        are one slice, from its start to the next regime's."""
         samples = self.samples
+        regimes = self.oracle.process.regimes
+        t_ms = samples.t_ms
+        bounds = [0, *(bisect_left(t_ms, r.start_ms) for r in regimes[1:]), len(t_ms)]
         out = []
-        for regime in regimes:
+        for regime, lo, hi in zip(regimes, bounds, bounds[1:]):
             spreads = [
-                spread for sigma, halted, spread
-                in zip(samples.sigma, samples.halted, samples.spread_frac)
-                if sigma == regime.sigma_per_s and not halted and spread == spread
+                spread for halted, spread
+                in zip(samples.halted[lo:hi], samples.spread_frac[lo:hi])
+                if not halted and spread == spread
             ]
             entry = {
                 "sigma_per_s": regime.sigma_per_s,
@@ -304,7 +311,7 @@ class MetricsCollector:
                 "max": max(util_values) if util_values else 0.0,
             },
             "latency_ms": self.latency_stats(),
-            "spread_by_regime": self.spread_stats(config.price.regimes),
+            "spread_by_regime": self.spread_stats(),
             "depth": self.depth_stats(),
             "peg": self.peg_stats(),
             "inventory": self.inventory_stats(),

@@ -11,10 +11,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .sim import EventLog, RngStream, Scheduler
 from .units import to_micro
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import PriceSpec, ScenarioConfig
 
 PRIMARY = "primary"
 SECONDARY = "secondary"
@@ -52,19 +55,14 @@ class Regime:
 class PriceProcess:
     """Geometric random walk stepped once per simulated second."""
 
-    def __init__(
-        self,
-        initial_price_usd: float,
-        rng: RngStream,
-        drift_per_s: float = 0.0,
-        regimes: Optional[list[Regime]] = None,
-    ):
+    def __init__(self, spec: PriceSpec, rng: RngStream):
         self.rng = rng
-        self.drift = drift_per_s
-        self.regimes = sorted(regimes or [Regime(0, 0.0)], key=lambda r: r.start_ms)
+        self.drift = spec.drift_per_s
+        # an empty schedule is one zero-volatility regime
+        self.regimes = sorted(spec.regimes or [Regime()], key=lambda r: r.start_ms)
         self._starts = [r.start_ms for r in self.regimes]
-        self._log_price = math.log(initial_price_usd)
-        self.price = to_micro(initial_price_usd)
+        self._log_price = math.log(spec.initial_usd_per_oz)
+        self.price = to_micro(spec.initial_usd_per_oz)
 
     def sigma_at(self, now: int) -> float:
         idx = bisect_right(self._starts, now) - 1
@@ -99,16 +97,14 @@ class OracleHub:
         self,
         sched: Scheduler,
         log: EventLog,
-        process: PriceProcess,
-        noise_rng: RngStream,
-        secondary_noise_frac: float = 0.0002,
+        config: ScenarioConfig,
         post_price=None,  # callable(feed, price) submitting the on-chain tx
     ):
         self.sched = sched
         self.log = log
-        self.process = process
-        self.noise_rng = noise_rng
-        self.secondary_noise_frac = secondary_noise_frac
+        self.process = process = PriceProcess(config.price, sched.fork_rng("price"))
+        self.noise_rng = sched.fork_rng("secondary-noise")
+        self.secondary_noise_frac = config.secondary_noise_frac
         self.post_price = post_price
         now = sched.now()
         p = process.price

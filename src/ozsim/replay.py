@@ -18,6 +18,7 @@ from typing import Optional
 
 from .config import ConfigError, load_config
 from .runner import run_scenario
+from .sim import canonical_line
 
 MATCH = "match"
 DIGEST_MISMATCH = "digest_mismatch"
@@ -118,6 +119,8 @@ def diff_logs(path_a: str | Path, path_b: str | Path, limit: int = 20) -> dict:
     counts, only the first divergence and at most `limit` divergent pairs
     from it on (where both logs have a record) are kept.  A malformed line
     is a record shown by its text, so it diverges from any parsed record.
+    Two records that Python finds equal but whose canonical encodings differ,
+    as 1, 1.0 and true do, diverge; key order and spacing do not count.
     """
     counts_a: Counter[str] = Counter()
     counts_b: Counter[str] = Counter()
@@ -132,7 +135,7 @@ def diff_logs(path_a: str | Path, path_b: str | Path, limit: int = 20) -> dict:
             if line_b is not None:
                 rb, kind = (ra, kind) if line_b == line_a else _record(line_b)
                 counts_b[kind] += 1
-            if ra != rb:
+            if ra != rb or (line_a != line_b and canonical_line(ra) != canonical_line(rb)):
                 if first_divergence is None:
                     first_divergence = {"index": i, "a": ra, "b": rb}
                 if ra is not None and rb is not None and i < first_divergence["index"] + limit:

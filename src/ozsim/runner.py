@@ -20,15 +20,13 @@ from .agents.risk import RiskAgent
 from .config import AgentUpdate, ClearRiskAlert, ParamProposal, ScenarioConfig, Unpause
 from .exchange import Exchange
 from .governance import Governance
-from .ledger import Ledger, ParamStore
+from .ledger import Ledger
 from .metrics import MetricsCollector, write_alerts_csv, write_summary
-from .oracle import OracleHub, PriceProcess
+from .oracle import OracleHub
 from .profiles import CorpusSpec, generate_profiles
 from .sim import EventLog, Scheduler
 from .units import from_micro, to_micro
 from .vault import Vault
-
-AUDITOR = "auditor-1"
 
 
 @dataclass
@@ -120,51 +118,25 @@ class Simulation:
         self.log = EventLog(stream=events_stream)
         self.log.append(0, "harness", "scenario_start", {"config": config.to_dict(), "version": 1})
 
-        self.ledger = Ledger(
-            self.sched,
-            self.log,
-            params=ParamStore(dict(config.params)),
-            block_interval_ms=config.block_interval_ms,
-            commit_latency_ms=config.commit_latency_ms,
-            commit_jitter_ms=config.commit_jitter_ms,
-            authorized_auditors={AUDITOR},
-            max_txs_per_block=config.max_txs_per_block,
-        )
+        self.ledger = Ledger(self.sched, self.log, config)
         self.vault = Vault(
-            self.sched,
-            self.log,
-            to_micro(config.vault_initial_oz),
-            auditor=AUDITOR,
-            attestation_interval_ms=config.attestation_interval_ms,
+            self.sched, self.log, config,
             submit_attestation=lambda amount, auditor: self.ledger.submit_tx(
                 "set_reserve", auditor, {"amount": amount}
             ),
         )
         self.oracle = OracleHub(
-            self.sched,
-            self.log,
-            PriceProcess(
-                config.price.initial_usd_per_oz,
-                self.sched.fork_rng("price"),
-                drift_per_s=config.price.drift_per_s,
-                regimes=config.price.regimes,
-            ),
-            self.sched.fork_rng("secondary-noise"),
-            secondary_noise_frac=config.secondary_noise_frac,
+            self.sched, self.log, config,
             post_price=lambda feed, price: self.ledger.submit_tx(
                 "post_price", feed, {"feed": feed, "price": price}
             ),
         )
         self.exchange = Exchange(
-            self.sched,
-            self.log,
-            self.ledger,
+            self.sched, self.log, self.ledger, config,
             onboarded=lambda addr: self.orchestrator.is_approved(addr),
-            settle_interval_ms=config.block_interval_ms,
-            log_trades=config.log_trades,
         )
         self.compliance = ComplianceAgent(config.compliance)
-        self.governance = Governance(self.ledger, alert_sink=None)
+        self.governance = Governance(self.ledger)
         self.risk = RiskAgent(
             self.sched, self.log, self.ledger, config.risk,
             oracle=self.oracle, governance=self.governance,
@@ -219,17 +191,16 @@ class Simulation:
     # -- schedule construction ---------------------------------------------------
 
     def _schedule_onboarding(self) -> None:
-        profiles = generate_profiles(
-            CorpusSpec(clean=self.config.user_count), self.sched.fork_rng("profiles")
-        )
         if self.config.preapproved_users:
-            for profile in profiles:
-                self.orchestrator.users[profile.user_id] = UserState(
+            for user_id in self.loadgen.user_ids():
+                self.orchestrator.users[user_id] = UserState(
                     approved=True, holdings=to_micro(self.config.prefund_oz)
                 )
-                self.loadgen.start_user(profile.user_id)
+                self.loadgen.start_user(user_id)
             return
-        for profile in profiles:
+        for profile in generate_profiles(
+            CorpusSpec(clean=self.config.user_count), self.sched.fork_rng("profiles")
+        ):
             self.orchestrator.onboard(profile)
 
     def _schedule_burst(self) -> None:

@@ -11,7 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .config import ScenarioConfig
+from .ledger import AUDITOR
 from .sim import EventLog, Scheduler
+from .units import to_micro
 
 
 class InsufficientUnlocked(Exception):
@@ -34,17 +37,14 @@ class Vault:
         self,
         sched: Scheduler,
         log: EventLog,
-        total_micro_oz: int,
-        auditor: str = "auditor-1",
-        attestation_interval_ms: int = 60_000,
+        config: ScenarioConfig,
         submit_attestation: Optional[Callable[[int, str], None]] = None,
     ):
         self.sched = sched
         self.log = log
-        self.total_micro_oz = total_micro_oz
+        self.config = config
+        self.total_micro_oz = to_micro(config.vault_initial_oz)
         self.locked_micro_oz = 0
-        self.auditor = auditor
-        self.attestation_interval_ms = attestation_interval_ms
         self.submit_attestation = submit_attestation
         self.misreport_fraction: Optional[float] = None
         # (t, reported) of every attestation reporting less than is held
@@ -110,10 +110,10 @@ class Vault:
             now, "vault", "attestation", {"reported": reported, "actual": self.total_micro_oz}
         )
         if self.submit_attestation is not None:
-            self.submit_attestation(reported, self.auditor)
+            self.submit_attestation(reported, AUDITOR)
 
     def start(self) -> None:
-        interval = self.attestation_interval_ms
+        interval = self.config.attestation_interval_ms
         self.sched.every(
             self.sched.now() + interval, interval, 2, "attestation",
             lambda: self.issue_attestation(self.sched.now()),

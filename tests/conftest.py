@@ -9,10 +9,12 @@ from ozsim.agents.issuance import ISSUER_ADDRESS, IssuanceAgent
 from ozsim.agents.market_maker import COLD_ADDRESS, MM_ADDRESS, MarketMakerAgent
 from ozsim.agents.orchestrator import Orchestrator
 from ozsim.agents.risk import RiskAgent
-from ozsim.config import ComplianceSpec, IssuanceSpec, MMSpec, RiskSpec, ScenarioConfig
+from ozsim.config import (
+    ComplianceSpec, IssuanceSpec, MMSpec, PriceSpec, RiskSpec, ScenarioConfig,
+)
 from ozsim.exchange import Exchange
-from ozsim.ledger import Ledger, ParamStore
-from ozsim.oracle import OracleHub, PriceProcess, Regime
+from ozsim.ledger import Ledger
+from ozsim.oracle import OracleHub, Regime
 from ozsim.sim import EventLog, Scheduler
 from ozsim.units import to_micro
 from ozsim.vault import Vault
@@ -36,25 +38,26 @@ class World:
         self.sched = Scheduler(seed=seed)
         self.log_stream = io.StringIO()
         self.log = EventLog(self.log_stream)
-        self.ledger = Ledger(
-            self.sched, self.log, authorized_auditors={"auditor-1"}
+        # zero volatility unless a test sets the regimes
+        config = ScenarioConfig(
+            "world", seed, 0, pre_trade_sigma_ms=pre_trade_sigma, order_style=order_style,
+            vault_initial_oz=vault_oz, price=PriceSpec(regimes=regimes or [Regime(0, 0.0)]),
         )
+        self.ledger = Ledger(self.sched, self.log, config)
         self.vault = Vault(
-            self.sched, self.log, to_micro(vault_oz),
+            self.sched, self.log, config,
             submit_attestation=lambda amount, auditor: self.ledger.submit_tx(
                 "set_reserve", auditor, {"amount": amount}
             ),
         )
         self.oracle = OracleHub(
-            self.sched, self.log,
-            PriceProcess(2400.0, self.sched.fork_rng("price"), regimes=regimes),
-            self.sched.fork_rng("secondary-noise"),
+            self.sched, self.log, config,
             post_price=lambda feed, price: self.ledger.submit_tx(
                 "post_price", feed, {"feed": feed, "price": price}
             ),
         )
         self.exchange = Exchange(
-            self.sched, self.log, self.ledger, onboarded=self._onboarded
+            self.sched, self.log, self.ledger, config, onboarded=self._onboarded
         )
         self.compliance = ComplianceAgent(ComplianceSpec())
         self.risk = RiskAgent(
@@ -74,9 +77,7 @@ class World:
         self.orchestrator = Orchestrator(
             self.sched, self.log, self.ledger, self.exchange,
             self.compliance, self.issuance, self.risk,
-            self.sched.fork_rng("orchestration"), self.oracle,
-            ScenarioConfig("world", seed, 0, pre_trade_sigma_ms=pre_trade_sigma,
-                           order_style=order_style),
+            self.sched.fork_rng("orchestration"), self.oracle, config,
             on_report=self._collect_report,
         )
         for addr in (MM_ADDRESS, COLD_ADDRESS, ISSUER_ADDRESS):

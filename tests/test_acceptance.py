@@ -15,13 +15,18 @@ from ozsim.agents.compliance import APPROVED, ComplianceAgent, DENIED, MANUAL_RE
 from ozsim.agents.risk import RiskAgent, RiskAlert
 from ozsim.bench import bench_config, run_bench
 from ozsim.checks import run_checks
-from ozsim.config import ComplianceSpec, RiskSpec, bundled_scenario_names, load_bundled
-from ozsim.governance import Governance
-from ozsim.ledger import Ledger, ParamStore, PriceWindow
+from ozsim.config import (
+    ComplianceSpec, RiskSpec, ScenarioConfig, bundled_scenario_names, load_bundled,
+)
+from ozsim.governance import SIGNERS, Governance
+from ozsim.ledger import AUDITOR, Ledger, PriceWindow
 from ozsim.profiles import CorpusSpec, generate_profiles
 from ozsim.runner import Simulation, run_scenario
 from ozsim.sim import EventLog, RngStream, Scheduler
 from ozsim.units import to_micro
+
+
+CONFIG = ScenarioConfig("acceptance", 0, 1)
 
 
 def report(criterion: int, ok: bool, message: str) -> None:
@@ -53,15 +58,13 @@ def test_criterion_01_reserve_safety_fuzz():
     rng = random.Random(20260809)
     sequences = 100_000
     mints_checked = 0
+    configs = {epsilon: ScenarioConfig("fuzz", 0, 1, params={"epsilon_micro_oz": epsilon})
+               for epsilon in (0, 100, to_micro(0.5))}
     for seq in range(sequences):
         sched = Scheduler(seed=seq)
         log = EventLog()
         epsilon = rng.choice([0, 0, 100, to_micro(0.5)])
-        ledger = Ledger(
-            sched, log,
-            params=ParamStore({"epsilon_micro_oz": epsilon}),
-            authorized_auditors={"aud"},
-        )
+        ledger = Ledger(sched, log, configs[epsilon])
         ledger.attested_reserve = rng.randrange(0, to_micro(2000))
         addrs = ("a", "b", "c")
         for _ in range(rng.randrange(4, 14)):
@@ -83,7 +86,7 @@ def test_criterion_01_reserve_safety_fuzz():
             elif roll < 0.80:
                 ledger.execute_transfer(rng.choice(addrs), rng.choice(addrs), amount)
             else:
-                ledger.set_attested_reserve(rng.randrange(0, to_micro(2000)), "aud")
+                ledger.set_attested_reserve(rng.randrange(0, to_micro(2000)), AUDITOR)
             assert sum(ledger.balances.values()) == ledger.total_supply
     report(
         1, True,
@@ -179,7 +182,7 @@ def test_criterion_09_concentration():
     def world(balances):
         sched = Scheduler(seed=9)
         log = EventLog()
-        ledger = Ledger(sched, log, authorized_auditors={"aud"})
+        ledger = Ledger(sched, log, CONFIG)
         ledger.set_genesis_reserve(to_micro(10_000))
         for addr, oz in balances.items():
             ledger.genesis_mint(addr, to_micro(oz))
@@ -255,7 +258,7 @@ def _materialize(state):
     issuance_paused, trading_paused, frozen, clear_requested, covering = state
     sched = Scheduler(seed=11)
     log = EventLog()
-    ledger = Ledger(sched, log, authorized_auditors={"aud"})
+    ledger = Ledger(sched, log, CONFIG)
     ledger.total_supply = to_micro(1000)
     ledger.balances["holder"] = to_micro(1000)
     ledger.attested_reserve = to_micro(1000) if covering else to_micro(995)
@@ -278,9 +281,9 @@ def _apply(state, event):
     sched, ledger, risk = _materialize(state)
     now = 400_000  # past any cooldown measured from trip at t=0
     if event == "shortfall_attestation":
-        ledger.set_attested_reserve(to_micro(995), "aud")
+        ledger.set_attested_reserve(to_micro(995), AUDITOR)
     elif event == "covering_attestation":
-        ledger.set_attested_reserve(to_micro(1000), "aud")
+        ledger.set_attested_reserve(to_micro(1000), AUDITOR)
     elif event == "clear":
         risk.request_clear(now)
     elif event == "cooldown_expiry":
@@ -343,16 +346,17 @@ def test_criterion_12_governance():
 
     # timelock refusal and the m-of-n signer rule, directly
     sched = Scheduler(seed=12)
-    ledger = Ledger(sched, EventLog(), authorized_auditors={"aud"})
+    ledger = Ledger(sched, EventLog(), CONFIG)
     ledger.set_genesis_reserve(to_micro(1000))
     ledger.genesis_mint("whale", to_micro(500))
-    gov = Governance(ledger, signer_set={"s1", "s2", "s3"}, signers_required=2)
+    gov = Governance(ledger)
+    first, second, _ = sorted(SIGNERS)
 
     update = gov.propose_update("risk", "v2")
-    gov.sign_update(update, "s1")
-    gov.sign_update(update, "s1")  # duplicate must not count
+    gov.sign_update(update, first)
+    gov.sign_update(update, first)  # duplicate must not count
     pending_after_dup = update.status == "pending"
-    gov.sign_update(update, "s2")
+    gov.sign_update(update, second)
     executable_at_m = update.executed
 
     prop = gov.propose_param("breaker_swing_threshold", 0.03, now=0, timelock_ms=60_000)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ozsim.config import ScenarioConfig
 from ozsim.exchange import ASK, BID, EmptySide, Exchange, NotOnboarded, TradingHalted
 from ozsim.ledger import Ledger
 from ozsim.sim import EventLog, Scheduler
@@ -10,12 +11,13 @@ from ozsim.units import to_micro
 def make_exchange(onboarded=None, balances=None):
     sched = Scheduler(seed=2)
     log = EventLog()
-    ledger = Ledger(sched, log, authorized_auditors={"auditor-1"})
+    config = ScenarioConfig("exchange", 2, 1)
+    ledger = Ledger(sched, log, config)
     ledger.set_genesis_reserve(to_micro(100_000))
     for addr, amount in (balances or {}).items():
         ledger.genesis_mint(addr, to_micro(amount))
     ledger.start()
-    exchange = Exchange(sched, log, ledger, onboarded=onboarded)
+    exchange = Exchange(sched, log, ledger, config, onboarded=onboarded)
     return sched, ledger, exchange
 
 

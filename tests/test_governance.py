@@ -3,22 +3,24 @@ import json
 
 import pytest
 
-from ozsim.governance import AlreadyExecuted, Governance, NotASigner, tally
+from ozsim.config import ScenarioConfig
+from ozsim.governance import SIGNERS, AlreadyExecuted, Governance, NotASigner, tally
 from ozsim.ledger import Ledger, PriceWindow
 from ozsim.sim import EventLog, Scheduler
 from ozsim.units import to_micro
 
 DAY_MS = 86_400_000
+S1, S2, S3 = sorted(SIGNERS)
 
 
 def make_gov(alerts=None, log=None):
     sched = Scheduler(seed=3)
-    ledger = Ledger(sched, log or EventLog(), authorized_auditors={"auditor-1"})
+    ledger = Ledger(sched, log or EventLog(), ScenarioConfig("governance", 3, 1))
     ledger.set_genesis_reserve(to_micro(1000))
     sink = None
     if alerts is not None:
         sink = lambda kind, detail: alerts.append((kind, detail))
-    gov = Governance(ledger, signer_set={"s1", "s2", "s3"}, alert_sink=sink)
+    gov = Governance(ledger, alert_sink=sink)
     return sched, ledger, gov
 
 
@@ -26,20 +28,20 @@ class TestMultisig:
     def test_single_signature_stays_pending(self):
         _, _, gov = make_gov()
         prop = gov.propose_update("market-maker", "v2")
-        assert gov.sign_update(prop, "s1") == "pending"
+        assert gov.sign_update(prop, S1) == "pending"
 
     def test_second_distinct_signature_makes_executable(self):
         _, _, gov = make_gov()
         prop = gov.propose_update("market-maker", "v2")
-        gov.sign_update(prop, "s1")
-        assert gov.sign_update(prop, "s2") == "executed"
+        gov.sign_update(prop, S1)
+        assert gov.sign_update(prop, S2) == "executed"
         assert gov.drain_agent_updates() == [("market-maker", "v2")]
 
     def test_duplicate_signer_does_not_advance_count(self):
         _, _, gov = make_gov()
         prop = gov.propose_update("risk", "v3")
-        gov.sign_update(prop, "s1")
-        assert gov.sign_update(prop, "s1") == "pending"
+        gov.sign_update(prop, S1)
+        assert gov.sign_update(prop, S1) == "pending"
         assert len(prop.signatures) == 1
 
     def test_outsider_cannot_sign(self):
@@ -51,10 +53,10 @@ class TestMultisig:
     def test_signing_executed_proposal_raises(self):
         _, _, gov = make_gov()
         prop = gov.propose_update("risk", "v3")
-        gov.sign_update(prop, "s1")
-        gov.sign_update(prop, "s2")
+        gov.sign_update(prop, S1)
+        gov.sign_update(prop, S2)
         with pytest.raises(AlreadyExecuted):
-            gov.sign_update(prop, "s3")
+            gov.sign_update(prop, S3)
 
 
 class TestTally:

@@ -192,6 +192,8 @@ class TestConfig:
          r"scenario\.params: out-of-bounds ledger parameter fee_rate=5\.0 outside"),
         ({"params": {"epsilon_micro_oz": 1_000_001}},  # 0.1% of the 1,000 oz genesis reserve
          r"scenario\.params: out-of-bounds ledger parameter epsilon_micro_oz=1000001 "),
+        ({"governance_schedule": [{**PROPOSAL, "param": "nonexistent", "votes": [["mm", True]]}]},
+         r"governance_schedule\[0\]\.param: unknown ledger parameter 'nonexistent'"),
     ])
     def test_malformed_input_rejected_at_load(self, overrides, message):
         with pytest.raises(ConfigError, match=message):
@@ -492,6 +494,22 @@ class TestCli:
         index, text = kept.count(b"\n"), kept.rsplit(b"\n", 1)[1].decode()
         assert printed[0] == f"logs diverge at record {index}"
         assert f"  b: {text}" in printed  # the cut line, shown as it is
+
+    def test_replay_diff_tells_an_int_from_a_float(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(MINIMAL))
+        assert cli_main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+        lines = (out / "events.jsonl").read_text().splitlines(keepends=True)
+        assert lines[1].startswith('{"detail":{"amount":1000000000}')
+        lines[1] = lines[1].replace('"amount":1000000000', '"amount":1000000000.0')
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("".join(lines))
+        capsys.readouterr()
+        assert cli_main(["replay", "--log", str(out / "events.jsonl"),
+                         "--diff-against", str(edited)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "logs diverge at record 1"
+        assert cli_main(["replay", "--log", str(edited), "--no-rerun"]) == 3
 
     def test_bench_descending_counts_is_a_config_error(self, capsys):
         assert cli_main(["bench", "--users", "200,100"]) == 1

@@ -3,10 +3,11 @@ import json
 
 import pytest
 
+from ozsim.config import ScenarioConfig
 from ozsim.ledger import (
+    AUDITOR,
     Ledger,
     OutOfBounds,
-    ParamStore,
     PriceWindow,
     REVERT_INSUFFICIENT_BALANCE,
     REVERT_ISSUANCE_PAUSED,
@@ -18,9 +19,13 @@ from ozsim.sim import EventLog, Scheduler
 from ozsim.units import to_micro
 
 
-def make_ledger(log=None, **kwargs):
+CONFIG = ScenarioConfig("ledger", 1, 1)
+
+
+def make_ledger(log=None, **settings):
+    """A ledger on a scenario with the given settings and defaults otherwise."""
     sched = Scheduler(seed=1)
-    ledger = Ledger(sched, log or EventLog(), authorized_auditors={"auditor-1"}, **kwargs)
+    ledger = Ledger(sched, log or EventLog(), ScenarioConfig("ledger", 1, 1, **settings))
     return sched, ledger
 
 
@@ -94,7 +99,7 @@ class TestMint:
     def test_micro_oz_arithmetic_is_exact(self):
         # supply 1000 OZ, reserve 999.999900 OZ, epsilon 0.000100 OZ:
         # 1000.000100 > 1000.000000 so another 0.000100 OZ must revert.
-        _, ledger = make_ledger(params=ParamStore({"epsilon_micro_oz": 100}))
+        _, ledger = make_ledger(params={"epsilon_micro_oz": 100})
         ledger.set_genesis_reserve(999_999_900)
         ledger.genesis_mint("mm", 1_000_000_000)
         receipt = ledger.execute_mint("alice", 100)
@@ -137,7 +142,7 @@ class TestBurn:
 class TestAttestation:
     def test_authorized_auditor_updates_reserve(self):
         _, ledger = make_ledger()
-        receipt = ledger.set_attested_reserve(to_micro(1000), "auditor-1")
+        receipt = ledger.set_attested_reserve(to_micro(1000), AUDITOR)
         assert receipt.accepted
         assert ledger.attested_reserve == to_micro(1000)
 
@@ -152,7 +157,7 @@ class TestAttestation:
         _, ledger = make_ledger()
         ledger.set_genesis_reserve(to_micro(1000))
         ledger.genesis_mint("mm", to_micro(1000))
-        receipt = ledger.set_attested_reserve(to_micro(995), "auditor-1")
+        receipt = ledger.set_attested_reserve(to_micro(995), AUDITOR)
         assert receipt.accepted
         assert ledger.attested_reserve == to_micro(995)
 
@@ -286,7 +291,7 @@ _ops = st.lists(
 @given(reserve=st.integers(min_value=0, max_value=to_micro(500)), ops=_ops)
 def test_property_no_mint_ever_breaches_reserve_ceiling(reserve, ops):
     sched = Scheduler(seed=1)
-    ledger = Ledger(sched, EventLog(), authorized_auditors={"aud"})
+    ledger = Ledger(sched, EventLog(), CONFIG)
     ledger.attested_reserve = reserve
     for kind, src, dst, amount in ops:
         if kind == "mint":
@@ -299,7 +304,7 @@ def test_property_no_mint_ever_breaches_reserve_ceiling(reserve, ops):
         elif kind == "transfer":
             ledger.execute_transfer(src, dst, amount)
         else:
-            ledger.set_attested_reserve(amount, "aud")
+            ledger.set_attested_reserve(amount, AUDITOR)
         assert sum(ledger.balances.values()) == ledger.total_supply
         assert all(v >= 0 for v in ledger.balances.values())
 
@@ -313,7 +318,7 @@ def test_property_no_mint_ever_breaches_reserve_ceiling(reserve, ops):
 )
 def test_property_breaker_trips_iff_swing_exceeds_threshold(window):
     sched = Scheduler(seed=2)
-    ledger = Ledger(sched, EventLog())
+    ledger = Ledger(sched, EventLog(), CONFIG)
     samples = [(i * 1000, p) for i, p in enumerate(window)]
     now = samples[-1][0]
     p_now = window[-1]
@@ -338,7 +343,7 @@ _window_ops = st.lists(
 @given(ops=_window_ops)
 def test_property_price_window_matches_brute_force_scan(ops):
     sched = Scheduler(seed=3)
-    ledger = Ledger(sched, EventLog())
+    ledger = Ledger(sched, EventLog(), CONFIG)
     window = PriceWindow()
     retained: list[tuple[int, int]] = []
     now = 0

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import statistics
 from types import SimpleNamespace
 
@@ -7,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from ozsim import bench
 from ozsim.agents.orchestrator import WorkflowReport
-from ozsim.config import load_config
+from ozsim.config import load_bundled, load_config
 from ozsim.metrics import CSV_COLUMNS, Columns, MetricsCollector, Sample, _percentile
+from ozsim.oracle import Regime
+from ozsim.runner import run_scenario
 from ozsim.units import from_micro
 
 KINDS = ["onboard", "buy", "sell", "issue", "redeem"]
@@ -16,8 +19,10 @@ STATUSES = ["completed", "unfilled", "not_onboarded", "trading_halted",
             "insufficient_holdings", "reverted", "manual_review"]
 TIME = st.integers(0, 2**40)
 DURATION = st.integers(0, 10**6)
-SIGMAS = [0.0005, 0.001, 0.002]
-REGIMES = [SimpleNamespace(sigma_per_s=sigma, start_ms=i * 1000) for i, sigma in enumerate(SIGMAS)]
+# Spread over TIME: samples before the first start fall to the first regime,
+# and of two regimes starting together the later one is in force.
+REGIMES = [Regime(2**20, 0.0005), Regime(2**30, 0.001), Regime(2**39, 0.0005),
+           Regime(2**39, 0.002)]
 
 
 def maybe(values):
@@ -27,9 +32,11 @@ def maybe(values):
 samples = st.builds(
     Sample, TIME, maybe(st.floats(1000, 3000)), maybe(st.floats(0, 0.02)),
     maybe(st.floats(0, 500)), maybe(st.floats(0, 500)), st.floats(-1000, 1000),
-    st.floats(0, 10_000), st.floats(0, 1), st.booleans(), st.sampled_from(SIGMAS),
+    st.floats(0, 10_000), st.floats(0, 1), st.booleans(),
     st.floats(0, 0.01), maybe(st.just(0.0) | st.floats(1000, 3000)),
 )
+# a run samples in time order
+sample_lists = st.lists(samples, max_size=60).map(lambda rows: sorted(rows, key=lambda s: s.t_ms))
 
 
 @st.composite
@@ -72,11 +79,14 @@ def reference_latency_stats(reports: list) -> dict:
 def reference_sample_stats(samples: list) -> dict:
     """The summary's sample aggregates, as MetricsCollector computed them over
     a plain list of Samples."""
+    def regime_at(t_ms):  # the last regime started by then, else the first
+        return max((i for i, r in enumerate(REGIMES) if r.start_ms <= t_ms), default=0)
+
     spread_by_regime = []
-    for regime in REGIMES:
+    for i, regime in enumerate(REGIMES):
         rows = [
             s for s in samples
-            if s.sigma == regime.sigma_per_s and not s.halted and s.spread_frac is not None
+            if regime_at(s.t_ms) == i and not s.halted and s.spread_frac is not None
         ]
         spreads = [s.spread_frac for s in rows]
         entry = {
@@ -170,11 +180,12 @@ def store_of(row_type, appended: list, **kwargs) -> Columns:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(reports(), max_size=60), st.lists(samples, max_size=60))
+@given(st.lists(reports(), max_size=60), sample_lists)
 def test_store_iterates_and_aggregates_as_the_list_it_replaces(appended, sampled):
     exchange = SimpleNamespace(on_trade=lambda listener: None, trade_count=0, traded_micro_oz=0)
     mm = SimpleNamespace(rebalance_events=[(5, 7)])
-    collector = MetricsCollector(None, exchange, mm, None, None, None, 1000)
+    oracle = SimpleNamespace(process=SimpleNamespace(regimes=REGIMES))
+    collector = MetricsCollector(None, exchange, mm, None, None, oracle, 1000)
     for report in appended:
         collector.on_report(report)
     for sample in sampled:
@@ -187,9 +198,7 @@ def test_store_iterates_and_aggregates_as_the_list_it_replaces(appended, sampled
         assert all(type(r) is row_type for r in store)
         assert [list(map(type, r)) for r in store] == [list(map(type, r)) for r in rows]
         assert list(store) == rows  # iteration does not consume the store
-    config = SimpleNamespace(
-        name="s", seed=1, duration_ms=1, price=SimpleNamespace(regimes=REGIMES)
-    )
+    config = SimpleNamespace(name="s", seed=1, duration_ms=1)
     summary = collector.summary(config, "digest", [], [], [], {})
     assert summary["latency_ms"] == reference_latency_stats(appended)
     expected = reference_sample_stats(sampled)
@@ -197,7 +206,7 @@ def test_store_iterates_and_aggregates_as_the_list_it_replaces(appended, sampled
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(reports(), max_size=60), st.lists(samples, max_size=60), st.integers(-1, 59))
+@given(st.lists(reports(), max_size=60), sample_lists, st.integers(-1, 59))
 def test_run_count_selects_as_the_list_it_replaces(appended, sampled, cut):
     # the warm-up cut sits at 0 or exactly where one report finishes
     warmup_ms = appended[cut % len(appended)].finished_at if appended and cut >= 0 else 0
@@ -236,9 +245,37 @@ def csv_dir(tmp_path_factory):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(samples, max_size=60))
+@given(sample_lists)
 def test_csv_is_written_as_the_row_loop_it_replaces(csv_dir, sampled):
     collector = SimpleNamespace(samples=store_of(Sample, sampled))
     MetricsCollector.write_csv(collector, csv_dir / "columns.csv")
     reference_write_csv(sampled, csv_dir / "rows.csv")
     assert (csv_dir / "columns.csv").read_bytes() == (csv_dir / "rows.csv").read_bytes()
+
+
+def test_spread_by_regime_counts_each_sample_in_the_regime_of_its_time():
+    """Two regimes with the same sigma are told apart by time, and a run of
+    1,800 samples counts each quoted, unhalted sample once."""
+    regimes = [Regime(0, 5e-5), Regime(600_000, 5e-4), Regime(1_200_000, 5e-5)]
+    base = load_bundled("baseline-24h")
+    config = dataclasses.replace(
+        base, duration_ms=1_800_000, price=dataclasses.replace(base.price, regimes=regimes),
+    )
+    result = run_scenario(config)
+    samples = list(result.sim.metrics.samples)
+    assert len(samples) == 1800
+    expected = [
+        sum(1 for s in samples
+            if lo <= s.t_ms < hi and not s.halted and s.spread_frac is not None)
+        for lo, hi in ((0, 600_000), (600_000, 1_200_000), (1_200_000, 1_800_001))
+    ]
+    spread = result.summary["spread_by_regime"]
+    assert [(e["start_ms"], e["sigma_per_s"], e["samples"]) for e in spread] == [
+        (r.start_ms, r.sigma_per_s, n) for r, n in zip(regimes, expected)
+    ]
+    assert sum(expected) > 1700
+    # given out of order, the regimes come out sorted by start time
+    shuffled = dataclasses.replace(
+        config, price=dataclasses.replace(config.price, regimes=regimes[::-1])
+    )
+    assert run_scenario(shuffled).summary["spread_by_regime"] == spread

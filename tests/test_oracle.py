@@ -3,6 +3,7 @@ import statistics
 
 import pytest
 
+from ozsim.config import PriceSpec, ScenarioConfig
 from ozsim.oracle import (
     PRIMARY,
     SECONDARY,
@@ -20,25 +21,22 @@ from ozsim.units import to_micro
 
 def make_hub(seed=11, noise=0.0002, regimes=None):
     sched = Scheduler(seed=seed)
-    process = PriceProcess(2400.0, sched.fork_rng("price"), regimes=regimes)
-    hub = OracleHub(
-        sched, EventLog(), process, sched.fork_rng("secondary-noise"),
-        secondary_noise_frac=noise,
+    config = ScenarioConfig(
+        "oracle", seed, 1, secondary_noise_frac=noise,
+        price=PriceSpec(regimes=regimes or [Regime(0, 0.0)]),
     )
-    return sched, hub
+    return sched, OracleHub(sched, EventLog(), config)
 
 
 class TestPriceProcess:
     def test_zero_sigma_zero_drift_holds_constant(self):
-        process = PriceProcess(2400.0, RngStream(1, "price"))
+        process = PriceProcess(PriceSpec(regimes=[Regime(0, 0.0)]), RngStream(1, "price"))
         for t in range(10):
             assert process.step(t * 1000) == to_micro(2400.0)
 
     def test_realized_sigma_matches_configured(self):
         sigma = 0.0005
-        process = PriceProcess(
-            2400.0, RngStream(5, "price"), regimes=[Regime(0, sigma)]
-        )
+        process = PriceProcess(PriceSpec(regimes=[Regime(0, sigma)]), RngStream(5, "price"))
         last = math.log(2400.0)
         returns = []
         for t in range(10_000):
@@ -50,15 +48,13 @@ class TestPriceProcess:
         assert abs(realized - sigma) <= 0.1 * sigma
 
     def test_same_seed_same_path(self):
-        a = PriceProcess(2400.0, RngStream(7, "price"), regimes=[Regime(0, 1e-4)])
-        b = PriceProcess(2400.0, RngStream(7, "price"), regimes=[Regime(0, 1e-4)])
+        a = PriceProcess(PriceSpec(regimes=[Regime(0, 1e-4)]), RngStream(7, "price"))
+        b = PriceProcess(PriceSpec(regimes=[Regime(0, 1e-4)]), RngStream(7, "price"))
         assert [a.step(t) for t in range(100)] == [b.step(t) for t in range(100)]
 
     def test_regime_schedule_switches_sigma(self):
         process = PriceProcess(
-            2400.0,
-            RngStream(1, "price"),
-            regimes=[Regime(0, 1e-5), Regime(60_000, 1e-3)],
+            PriceSpec(regimes=[Regime(0, 1e-5), Regime(60_000, 1e-3)]), RngStream(1, "price")
         )
         assert process.sigma_at(0) == 1e-5
         assert process.sigma_at(59_999) == 1e-5

@@ -2,9 +2,11 @@
 
 Logs are a recorded run's lines after random edits: dropped, inserted,
 changed, appended or truncated lines, a line re-encoded with its keys in
-another order (the same record, different text), and CRLF line ends or no
+another order (the same record, different text) or with its time as a float
+(a record Python finds equal, other canonical bytes), and CRLF line ends or no
 final newline.  The reference functions below read the whole log into lists,
-as replay.py did before it streamed.
+as replay.py did before it streamed; the reference diff also tells apart
+records that are equal only as Python values.
 """
 
 import hashlib
@@ -58,12 +60,17 @@ def reference_replay(path, rerun=True):
     return ReplayResult(MATCH, recorded, stream_digest, result.digest, "re-run digest matches")
 
 
+def differ(ra, rb):
+    """Records differ when unequal, or equal only as Python values (1 == 1.0 == True)."""
+    return ra != rb or canonical_line(ra) != canonical_line(rb)
+
+
 def reference_diff_logs(path_a, path_b, limit=20):
     _, records_a = reference_read_log(path_a)
     _, records_b = reference_read_log(path_b)
     first_divergence = None
     for i, (ra, rb) in enumerate(zip(records_a, records_b)):
-        if ra != rb:
+        if differ(ra, rb):
             first_divergence = {"index": i, "a": ra, "b": rb}
             break
     if first_divergence is None and len(records_a) != len(records_b):
@@ -90,7 +97,7 @@ def reference_diff_logs(path_a, path_b, limit=20):
     if first_divergence is not None:
         start = first_divergence["index"]
         for ra, rb in zip(records_a[start:start + limit], records_b[start:start + limit]):
-            if ra != rb:
+            if differ(ra, rb):
                 divergent_samples.append({"a": ra, "b": rb})
     return {
         "identical": first_divergence is None,
@@ -121,7 +128,7 @@ changes = (
     | st.tuples(st.just("kind"), st.sampled_from(KINDS))
     | st.tuples(st.just("detail"), details)
 )
-EDITS = ["drop", "insert", "change", "append", "reorder", "truncate"]
+EDITS = ["drop", "insert", "change", "append", "reorder", "retype", "truncate"]
 
 
 def edit(draw, lines: list[str]) -> bytes:
@@ -146,6 +153,8 @@ def edit(draw, lines: list[str]) -> bytes:
             if op == "change":
                 key, value = draw(changes)
                 lines[i] = canonical_line({**record, key: value})
+            elif op == "retype":  # 1000 -> 1000.0: an equal dict, other bytes
+                lines[i] = canonical_line({**record, "t": float(record["t"])})
             else:  # the same record, keys in reverse order and spaced out
                 lines[i] = json.dumps(dict(reversed(record.items())), separators=(", ", ": "))
     newline = draw(st.sampled_from(["\n", "\r\n"]))

@@ -1,13 +1,18 @@
 import pytest
 
+from ozsim.agents.market_maker import MM_ADDRESS
 from ozsim.agents.risk import (
     CONCENTRATION,
     GOVERNANCE_OOB,
     ORACLE_STALE,
     RESERVE_SHORTFALL,
     AdmissionGate,
+    RiskAgent,
 )
+from ozsim.config import RiskSpec, ScenarioConfig
+from ozsim.ledger import Ledger
 from ozsim.oracle import PRIMARY, SECONDARY
+from ozsim.sim import EventLog, Scheduler
 from ozsim.units import to_micro
 
 
@@ -146,6 +151,23 @@ class TestConcentration:
         w.run_to(4_000)
         flags = [a for a in w.risk.alerts if a.kind == CONCENTRATION]
         assert len(flags) == 1 and flags[0].detail["address"] == "a"
+
+
+    def test_alerts_follow_the_order_balances_changed(self):
+        # No mint or burn since the last cycle, so the sweep visits only the
+        # touched holders; it must visit them in the order their balances
+        # changed, not in an order set by string hashing.
+        sched, log = Scheduler(seed=1), EventLog()
+        ledger = Ledger(sched, log, ScenarioConfig("risk", 1, 1))
+        ledger.set_genesis_reserve(to_micro(10_000))
+        ledger.genesis_mint(MM_ADDRESS, to_micro(10_000))
+        risk = RiskAgent(sched, log, ledger, RiskSpec(concentration_limit=0.01))
+        risk.cycle(500)
+        holders = [f"holder-{i}" for i in (3, 9, 0, 6, 1, 8, 4, 2, 7, 5)]
+        for holder in holders:  # 2% of supply each
+            assert ledger.execute_transfer(MM_ADDRESS, holder, to_micro(200)).accepted
+        risk.cycle(1500)
+        assert [a.detail["address"] for a in risk.alerts if a.kind == CONCENTRATION] == holders
 
 
 class TestAdmissionGate:

@@ -1,5 +1,6 @@
 import pytest
 
+from ozsim.config import ScenarioConfig
 from ozsim.sim import EventLog, Scheduler
 from ozsim.units import to_micro
 from ozsim.vault import InsufficientUnlocked, UncoveredWithdrawal, Vault
@@ -7,7 +8,8 @@ from ozsim.vault import InsufficientUnlocked, UncoveredWithdrawal, Vault
 
 def make_vault(total_oz=1000, submit=None):
     sched = Scheduler(seed=1)
-    vault = Vault(sched, EventLog(), to_micro(total_oz), submit_attestation=submit)
+    config = ScenarioConfig("vault", 1, 1, vault_initial_oz=total_oz)
+    vault = Vault(sched, EventLog(), config, submit_attestation=submit)
     return sched, vault
 
 
