@@ -9,6 +9,7 @@ workflow are reported to a single callback for metrics and closed-loop load.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,7 +35,7 @@ INSUFFICIENT_HOLDINGS = "insufficient_holdings"
 PRE_TRADE_MIN_MS = 50  # floor of the pre-trade screening delay
 
 
-@dataclass
+@dataclass(slots=True)
 class UserState:
     approved: bool = False
     holdings: int = 0  # micro-OZ economic position, fills included
@@ -68,7 +69,11 @@ class Orchestrator:
         self.on_report = on_report
         self.users: dict[str, UserState] = {}
         self.platform_addresses: set[str] = set()
-        self._maker_contexts: dict[int, _OrderFlow] = {}
+        self._maker_contexts: dict[int, _OrderFlow] = {}  # resting order id -> its flow
+        # Resting order ids in the order their expiries were scheduled.  Every
+        # expiry has the same delay and priority, so they fire in that order
+        # too, and one bound method serves them all without holding a flow.
+        self._expiries: deque[int] = deque()
         exchange.on_trade(self._watch_maker_fills)
 
     # -- registry -----------------------------------------------------------
@@ -164,8 +169,17 @@ class Orchestrator:
             return
         if ctx.kind == BUY:
             ctx.state.holdings += trade.qty
-        self.exchange.wait_settlement(ctx.user, trade.taker_owner, ctx.settled)
+        if not ctx.reported:
+            self.exchange.wait_settlement(ctx.user, trade.taker_owner, ctx.settled)
         ctx.fills += trade.qty
+        if ctx.filled + ctx.fills == ctx.amount:  # the order has left the book
+            del self._maker_contexts[trade.maker_id]
+
+    def _expire_next(self) -> None:
+        """The oldest pending expiry: cancel its order if it still rests."""
+        flow = self._maker_contexts.pop(self._expiries.popleft(), None)
+        if flow is not None:
+            flow.expire()
 
     def _limit_price(self, side: str) -> int:
         """Marketable-or-passive limit around the reference price.
@@ -221,10 +235,11 @@ class Orchestrator:
 class _OrderFlow:
     """One buy or sell workflow, from the pre-trade check to its one report.
 
-    A resting limit order keeps its workflow alive until expiry, thousands at
-    a time under saturated load. Each workflow is therefore a single slotted
-    object whose bound methods are its scheduled actions and settlement
-    callback, which keeps the collector's live set small.
+    A flow lives while its order rests in the book or its settlement is
+    awaited, whichever ends later; the pending expiry holds only the order
+    id.  Under saturated load thousands rest at a time, so each workflow is a
+    single slotted object whose bound methods are its scheduled action and
+    settlement callback, which keeps the collector's live set small.
     """
 
     __slots__ = (
@@ -276,15 +291,17 @@ class _OrderFlow:
             orch.exchange.wait_settlement(user, other, self.settled)
         if resting is not None:
             orch._maker_contexts[resting] = self
-            orch.sched.schedule_in(orch.config.order_expiry_ms, 2, "order_expiry", self.expire)
+            orch._expiries.append(resting)
+            orch.sched.schedule_in(
+                orch.config.order_expiry_ms, 2, "order_expiry", orch._expire_next
+            )
 
     def settled(self, _t: int) -> None:
         self.complete(COMPLETED)
 
     def expire(self) -> None:
-        orch = self.orch
-        orch._maker_contexts.pop(self.resting, None)
-        if orch.exchange.cancel(self.resting) and self.kind == SELL:
+        """Cancel the unfilled rest of the order; its context is already gone."""
+        if self.orch.exchange.cancel(self.resting) and self.kind == SELL:
             # return the unsold remainder of the commitment
             remainder = self.amount - self.filled - self.fills
             if remainder > 0:

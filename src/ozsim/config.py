@@ -15,6 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Annotated, Any, Optional, Union, get_args, get_origin, get_type_hints
 
+from .governance import SIGNERS
 from .ledger import PARAM_DEFAULTS, OutOfBounds, ParamStore
 from .oracle import PRIMARY, SECONDARY, Regime
 from .units import to_micro
@@ -124,6 +125,9 @@ class ParamProposal:
         if any(t is not None and t < self.propose_at_ms
                for t in (self.vote_at_ms, self.execute_at_ms)):
             raise ValueError("vote_at_ms and execute_at_ms must not precede propose_at_ms")
+        if self.votes and self.execute_at_ms is not None and self.vote_at_ms > self.execute_at_ms:
+            # the execution attempt closes the proposal, so a later vote would fail
+            raise ValueError("vote_at_ms must not fall after execute_at_ms when votes are cast")
 
 
 @dataclass(kw_only=True)
@@ -319,6 +323,9 @@ def load_config(data: dict) -> ScenarioConfig:
             if isinstance(entry, ParamProposal) and entry.param not in PARAM_DEFAULTS:
                 errors.append(f"scenario.governance_schedule[{i}].param: "
                               f"unknown ledger parameter {entry.param!r}")
+            if isinstance(entry, AgentUpdate) and not SIGNERS.issuperset(entry.signers):
+                errors.append(f"scenario.governance_schedule[{i}].signers: unknown signers "
+                              f"{sorted(set(entry.signers) - SIGNERS)}")
         if config.load_model not in ("open", "closed"):
             errors.append(f"scenario.load_model: {config.load_model!r} is not open|closed")
         if config.order_style not in ("market", "mixed"):

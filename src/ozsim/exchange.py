@@ -239,8 +239,7 @@ class Exchange:
         # Signed net flow per unordered pair: positive means key[0] -> key[1].
         self._flows: dict[tuple[str, str], int] = {}
         self._waiters: dict[tuple[str, str], list[Callable[[int], None]]] = {}
-        self._pending: dict[int, tuple[tuple[str, str], int, list]] = {}
-        self._next_batch = 1
+        self._pending_qty = 0  # micro-OZ submitted in transfers not yet confirmed
         self._trade_listeners: list[Callable[[Trade], None]] = []
 
     def on_trade(self, listener: Callable[[Trade], None]) -> None:
@@ -354,31 +353,44 @@ class Exchange:
                 continue
             src, dst = (key[0], key[1]) if net > 0 else (key[1], key[0])
             qty = abs(net)
-            batch_id = self._next_batch
-            self._next_batch += 1
-            self._pending[batch_id] = (key, net, waiters)
+            self._pending_qty += qty
             tx_ids.append(
                 self.ledger.submit_tx(
                     "transfer",
                     src,
                     {"from": src, "to": dst, "amount": qty},
-                    on_receipt=lambda r, b=batch_id: self._on_settled(b, r),
+                    on_receipt=_Batch(self, key, net, waiters).on_receipt,
                 )
             )
         return tx_ids
 
-    def _on_settled(self, batch_id: int, receipt: Receipt) -> None:
-        key, net, waiters = self._pending.pop(batch_id)
+    def unsettled_qty(self) -> int:
+        return self._pending_qty + sum(abs(net) for net in self._flows.values())
+
+
+class _Batch:
+    """One pair's netted transfer in flight; its receipt settles or refolds it."""
+
+    __slots__ = ("exchange", "key", "net", "waiters")
+
+    def __init__(
+        self, exchange: Exchange, key: tuple[str, str], net: int,
+        waiters: list[Callable[[int], None]],
+    ) -> None:
+        self.exchange = exchange
+        self.key = key
+        self.net = net
+        self.waiters = waiters
+
+    def on_receipt(self, receipt: Receipt) -> None:
+        exchange, key, net, waiters = self.exchange, self.key, self.net, self.waiters
+        exchange._pending_qty -= abs(net)
         if receipt.accepted:
-            now = self.sched.now()
+            now = exchange.sched.now()
             for cb in waiters:
                 cb(now)
             return
         # Halted or momentarily underfunded: fold back for the next batch.
-        self._flows[key] = self._flows.get(key, 0) + net
+        exchange._flows[key] = exchange._flows.get(key, 0) + net
         if waiters:
-            self._waiters.setdefault(key, []).extend(waiters)
-
-    def unsettled_qty(self) -> int:
-        pending = sum(abs(net) for _, net, _ in self._pending.values())
-        return pending + sum(abs(net) for net in self._flows.values())
+            exchange._waiters.setdefault(key, []).extend(waiters)

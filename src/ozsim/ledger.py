@@ -41,7 +41,7 @@ class Receipt:
 ACCEPTED = Receipt(True)
 
 
-@dataclass
+@dataclass(slots=True)
 class Tx:
     tx_id: int
     kind: str  # mint | burn | transfer | post_price | set_reserve | governance

@@ -48,9 +48,11 @@ class LoadGenerator:
         self.size_rng = sim.sched.fork_rng("sizes")
         self._mix = sorted(self.config.action_mix.items())
         self._active: set[str] = set()
+        # One list, so the ledger, the orchestrator and the load share its strings.
+        self._user_ids = [f"user-{i:04d}" for i in range(1, self.config.user_count + 1)]
 
     def user_ids(self) -> list[str]:
-        return [f"user-{i:04d}" for i in range(1, self.config.user_count + 1)]
+        return self._user_ids
 
     def start_user(self, user_id: str) -> None:
         """Called once the user's onboarding finishes."""

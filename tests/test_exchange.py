@@ -169,6 +169,7 @@ class TestSettlement:
         sched.run_until(200_000)
         assert settled == []  # reverted while halted, kept pending
         assert ledger.balance("bob") == 0
+        assert ex.unsettled_qty() == to_micro(5)
         sched.run_until(302_000)  # breaker lifts at 300_500, next block settles
         assert ledger.balance("bob") == to_micro(5)
         assert len(settled) == 1

@@ -152,6 +152,27 @@ class TestConfig:
                              ops_schedule=[{"action": "clear_risk_alert", "at_ms": 0}])
         assert len(config.governance_schedule) == 2
 
+    # Governance entries that used to load and then raise out of the scheduler mid-run.
+    def test_agent_update_signed_by_a_non_signer_rejected_at_load(self):
+        scenario = {**MINIMAL, "duration_ms": 20_000}
+        update = {"action": "agent_update", "agent": "risk", "version": "v2",
+                  "signers": ["mallory", "signer-1"], "sign_at_ms": [1_000, 2_000]}
+        with pytest.raises(ConfigError, match=r"governance_schedule\[0\]\.signers: "
+                                              r"unknown signers \['mallory'\]"):
+            load_config({**scenario, "governance_schedule": [update]})
+        signed = {**update, "signers": ["signer-2", "signer-1"]}
+        run_scenario(load_config({**scenario, "governance_schedule": [signed]}))
+
+    def test_vote_after_execution_rejected_at_load(self):
+        proposal = {**self.PROPOSAL, "vote_at_ms": 5_000, "execute_at_ms": 2_000,
+                    "timelock_ms": 0, "votes": [["signer-1", True]]}
+        with pytest.raises(ConfigError, match=r"governance_schedule\[0\]: "
+                                              r"vote_at_ms must not fall after execute_at_ms"):
+            load_config({**MINIMAL, "governance_schedule": [proposal]})
+        for entry in ({**proposal, "vote_at_ms": 2_000},  # the vote fires first
+                      {**proposal, "votes": []}):  # no vote to cast
+            run_scenario(load_config({**MINIMAL, "governance_schedule": [entry]}))
+
     BURST = {"count": 5, "window_start_ms": 1_000, "window_end_ms": 2_000}
 
     @pytest.mark.parametrize("overrides, message", [

@@ -1,9 +1,16 @@
+import dataclasses
+from collections import deque
+
 import pytest
 
 from ozsim.agents.compliance import UserProfile
+from ozsim.agents.market_maker import MM_ADDRESS
 from ozsim.agents.orchestrator import UserState
 from ozsim.agents.risk import AdmissionGate
+from ozsim.bench import bench_config
+from ozsim.config import load_bundled
 from ozsim.exchange import ASK, BID
+from ozsim.runner import Simulation
 from ozsim.units import to_micro
 
 PRE_TRADE_MS = 275  # pre_trade_mean_ms with pre_trade_sigma=0
@@ -241,3 +248,78 @@ def test_redeem_whose_burn_reverts_returns_the_holdings(world_factory):
     assert w.vault.total_micro_oz == to_micro(1000)  # no metal left the vault
     assert w.orchestrator.holdings("carol") == to_micro(5)
     assert w.ledger.balance("dave") == to_micro(5)
+
+
+# -- order-path state lives as long as its workflow, not as long as its timers ----
+
+
+def test_reported_flow_registers_no_further_settlement_waiter(world_factory):
+    w = world_factory(pre_trade_sigma=0.0, order_style="mixed",
+                      genesis_balances={"bob": 1, "dave": 1})
+    trader(w, "alice")
+    trader(w, "bob", oz=1)
+    trader(w, "dave", oz=1)
+    w.run_to(5_000)
+    w.exchange.place("bob", ASK, to_micro(1), price=1)  # any bid crosses it
+    w.orchestrator.handle("buy", "alice", to_micro(2))
+    w.run_to(5_000 + PRE_TRADE_MS)
+    assert w.exchange.book.best_bid() is not None  # half filled, half resting
+    w.run_to(8_000)
+    (report,) = w.reports  # the first fill settled
+    assert report.ok
+    trades, _ = w.exchange.place("dave", ASK, to_micro(1), kind="market")
+    assert [t.maker_owner for t in trades] == ["alice"]
+    assert w.exchange._waiters == {}  # the reported flow waits for nothing
+    assert w.orchestrator._maker_contexts == {}  # nor outlives its filled order
+    w.run_to(30_000)
+    assert len(w.reports) == 1
+    assert w.orchestrator.holdings("alice") == to_micro(2) == w.ledger.balance("alice")
+    assert w.exchange.unsettled_qty() == 0
+
+
+def test_fully_filled_order_drops_its_context_at_the_fill(world_factory):
+    w = world_factory(pre_trade_sigma=0.0, order_style="mixed", genesis_balances={"bob": 2})
+    trader(w, "alice")
+    trader(w, "bob", oz=2)
+    w.run_to(5_000)
+    w.orchestrator.handle("buy", "alice", to_micro(2))
+    w.run_to(6_000)
+    assert len(w.orchestrator._maker_contexts) == 1
+    w.exchange.place("bob", ASK, to_micro(1), kind="market")
+    assert len(w.orchestrator._maker_contexts) == 1  # half the order still rests
+    w.exchange.place("bob", ASK, to_micro(1), kind="market")
+    assert w.orchestrator._maker_contexts == {}
+    assert len(w.orchestrator._expiries) == 1  # the expiry still fires, and finds nothing
+    w.run_to(30_000)
+    assert w.orchestrator._expiries == deque()
+    (report,) = w.reports
+    assert report.ok
+
+
+def bench_point(users, duration_ms, **overrides):
+    base = dataclasses.replace(load_bundled("bench-base"), duration_ms=duration_ms, **overrides)
+    return Simulation(bench_config(base, users))
+
+
+def test_maker_contexts_are_exactly_the_resting_user_orders():
+    sim = bench_point(2000, 8_000)
+    sim.execute()
+    book = sim.exchange.book
+    resting = {oid for oid, order in book._orders.items() if order.owner != MM_ADDRESS}
+    assert resting  # the point ends with user orders in the book
+    assert set(sim.orchestrator._maker_contexts) == resting
+
+
+# Digests of the same points before expiries were queued by order id; they pin
+# the FIFO expiry order, down to expiries in the millisecond of their placement.
+EXPIRY_DIGESTS = {
+    0: "d2201ef327cc903a4f0286d7bda8fa594d73445b0e896d3ebddac20fe2b908bb",
+    300: "701e9222d0bc6e7d6fd0003e45ab2d26cb0a132ceb2580565cd7bf739774d59d",
+    5000: "cf2df5e28e3db82aa2bd19d52f7642cbecc312d0cb36d1ff0a279abf30088b20",
+}
+
+
+@pytest.mark.parametrize("expiry_ms", sorted(EXPIRY_DIGESTS))
+def test_order_expiry_digests_are_pinned(expiry_ms):
+    digest = bench_point(1000, 6_000, order_expiry_ms=expiry_ms).execute()
+    assert digest == EXPIRY_DIGESTS[expiry_ms]
