@@ -136,9 +136,7 @@ class IssuanceAgent:
             self.vault.release(ticket)
             done(WorkflowReport(ISSUE, user, REVERTED, requested_at, now, agent_ms))
 
-        self.ledger.submit_tx(
-            "mint", ISSUER_ADDRESS, {"to": user, "amount": amount}, on_receipt=on_receipt
-        )
+        self.ledger.submit_tx("mint", ISSUER_ADDRESS, (user, amount), on_receipt=on_receipt)
 
     # -- redemption ----------------------------------------------------------
 
@@ -177,6 +175,4 @@ class IssuanceAgent:
                 return
             done(WorkflowReport(REDEEM, user, REVERTED, requested_at, now, agent_ms))
 
-        self.ledger.submit_tx(
-            "burn", user, {"owner": user, "amount": amount}, on_receipt=on_receipt
-        )
+        self.ledger.submit_tx("burn", user, (user, amount), on_receipt=on_receipt)

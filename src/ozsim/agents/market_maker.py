@@ -206,9 +206,7 @@ class MarketMakerAgent:
                 )
 
         self.ledger.submit_tx(
-            "transfer", MM_ADDRESS,
-            {"from": MM_ADDRESS, "to": COLD_ADDRESS, "amount": amount},
-            on_receipt=on_receipt,
+            "transfer", MM_ADDRESS, (MM_ADDRESS, COLD_ADDRESS, amount), on_receipt=on_receipt
         )
 
     def _restock(self, amount: int, now: int) -> None:
@@ -232,8 +230,7 @@ class MarketMakerAgent:
 
         if from_cold:
             self.ledger.submit_tx(
-                "transfer", COLD_ADDRESS,
-                {"from": COLD_ADDRESS, "to": MM_ADDRESS, "amount": from_cold},
+                "transfer", COLD_ADDRESS, (COLD_ADDRESS, MM_ADDRESS, from_cold),
                 on_receipt=lambda r: finish(r.accepted, from_cold),
             )
         if minted:

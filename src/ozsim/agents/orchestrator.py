@@ -72,8 +72,10 @@ class Orchestrator:
         self._maker_contexts: dict[int, _OrderFlow] = {}  # resting order id -> its flow
         # Resting order ids in the order their expiries were scheduled.  Every
         # expiry has the same delay and priority, so they fire in that order
-        # too, and one bound method serves them all without holding a flow.
+        # too, and one bound method, made here once, serves them all without
+        # holding a flow.
         self._expiries: deque[int] = deque()
+        self._expire_next_action = self._expire_next
         exchange.on_trade(self._watch_maker_fills)
 
     # -- registry -----------------------------------------------------------
@@ -170,7 +172,7 @@ class Orchestrator:
         if ctx.kind == BUY:
             ctx.state.holdings += trade.qty
         if not ctx.reported:
-            self.exchange.wait_settlement(ctx.user, trade.taker_owner, ctx.settled)
+            self.exchange.wait_settlement(ctx.user, trade.taker_owner, ctx)
         ctx.fills += trade.qty
         if ctx.filled + ctx.fills == ctx.amount:  # the order has left the book
             del self._maker_contexts[trade.maker_id]
@@ -238,8 +240,9 @@ class _OrderFlow:
     A flow lives while its order rests in the book or its settlement is
     awaited, whichever ends later; the pending expiry holds only the order
     id.  Under saturated load thousands rest at a time, so each workflow is a
-    single slotted object whose bound methods are its scheduled action and
-    settlement callback, which keeps the collector's live set small.
+    single slotted object that is itself its settlement callback: a waiter
+    holds the flow, not a bound method made for it.  Only the scheduled
+    pre-trade action is a bound method, alive until it fires.
     """
 
     __slots__ = (
@@ -288,15 +291,16 @@ class _OrderFlow:
             self.complete(UNFILLED)
             return
         for other in {t.maker_owner if t.taker_owner == user else t.taker_owner for t in trades}:
-            orch.exchange.wait_settlement(user, other, self.settled)
+            orch.exchange.wait_settlement(user, other, self)
         if resting is not None:
             orch._maker_contexts[resting] = self
             orch._expiries.append(resting)
             orch.sched.schedule_in(
-                orch.config.order_expiry_ms, 2, "order_expiry", orch._expire_next
+                orch.config.order_expiry_ms, 2, "order_expiry", orch._expire_next_action
             )
 
-    def settled(self, _t: int) -> None:
+    def __call__(self, _t: int) -> None:
+        """The settlement callback: the flow's trades have settled at _t."""
         self.complete(COMPLETED)
 
     def expire(self) -> None:

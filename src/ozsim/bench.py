@@ -71,14 +71,24 @@ def run_count(base: ScenarioConfig, users: int, warmup_ms: int = 15_000) -> Benc
     )
 
 
+def check_bench_args(base: ScenarioConfig, user_counts: list[int], warmup_ms: int) -> None:
+    """Raise ValueError unless the counts are positive and ascending and the
+    warm-up leaves part of the run to measure."""
+    if sorted(user_counts) != user_counts:
+        raise ValueError("user counts must be ascending")
+    if user_counts and user_counts[0] <= 0:
+        raise ValueError(f"user counts must be positive, got {user_counts[0]}")
+    if not 0 <= warmup_ms < base.duration_ms:
+        raise ValueError(f"warm-up {warmup_ms} ms is outside [0, {base.duration_ms}) ms")
+
+
 def run_bench(
     base: ScenarioConfig,
     user_counts: list[int],
     warmup_ms: int = 15_000,
     jobs: int = 1,
 ) -> dict:
-    if sorted(user_counts) != user_counts:
-        raise ValueError("user counts must be ascending")
+    check_bench_args(base, user_counts, warmup_ms)
     if jobs > 1:
         import multiprocessing as mp
 

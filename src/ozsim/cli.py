@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import format_table, run_bench
+from .bench import check_bench_args, format_table, run_bench
 from .checks import run_checks
 from .config import ConfigError, bundled_scenario_names, load_bundled, resolve_scenario
 from .replay import diff_logs, replay
@@ -60,8 +60,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         config = resolve_scenario(args.scenario)
         counts = [int(x) for x in args.users.split(",") if x]
-        if counts != sorted(counts):
-            raise ValueError("user counts must be ascending")
+        check_bench_args(config, counts, args.warmup_ms)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

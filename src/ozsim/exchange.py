@@ -356,10 +356,7 @@ class Exchange:
             self._pending_qty += qty
             tx_ids.append(
                 self.ledger.submit_tx(
-                    "transfer",
-                    src,
-                    {"from": src, "to": dst, "amount": qty},
-                    on_receipt=_Batch(self, key, net, waiters).on_receipt,
+                    "transfer", src, (src, dst, qty), _Batch(self, key, net, waiters)
                 )
             )
         return tx_ids
@@ -369,7 +366,8 @@ class Exchange:
 
 
 class _Batch:
-    """One pair's netted transfer in flight; its receipt settles or refolds it."""
+    """One pair's netted transfer in flight, and the callback of its receipt,
+    which settles or refolds it."""
 
     __slots__ = ("exchange", "key", "net", "waiters")
 
@@ -382,7 +380,7 @@ class _Batch:
         self.net = net
         self.waiters = waiters
 
-    def on_receipt(self, receipt: Receipt) -> None:
+    def __call__(self, receipt: Receipt) -> None:
         exchange, key, net, waiters = self.exchange, self.key, self.net, self.waiters
         exchange._pending_qty -= abs(net)
         if receipt.accepted:

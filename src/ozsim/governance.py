@@ -206,7 +206,7 @@ class Governance:
                 return ACCEPTED
             return Receipt(False, result)
 
-        return self.ledger.submit_tx("governance", sender, {"apply": apply})
+        return self.ledger.submit_tx("governance", sender, (apply,))
 
     def governance_unpause(self, now: int) -> None:
         self.ledger.governance_unpause(now)

@@ -44,9 +44,9 @@ ACCEPTED = Receipt(True)
 @dataclass(slots=True)
 class Tx:
     tx_id: int
-    kind: str  # mint | burn | transfer | post_price | set_reserve | governance
+    kind: str  # a key of Ledger.OPERATIONS
     sender: str
-    payload: dict
+    args: tuple  # the operation's positional arguments
     on_receipt: Optional[Callable[[Receipt], None]] = None
 
 
@@ -232,10 +232,11 @@ class Ledger:
         self,
         kind: str,
         sender: str,
-        payload: dict,
+        args: tuple,
         on_receipt: Optional[Callable[[Receipt], None]] = None,
     ) -> int:
-        tx = Tx(self._next_tx_id, kind, sender, payload, on_receipt)
+        """Queue a tx that applies OPERATIONS[kind] to args at the next block."""
+        tx = Tx(self._next_tx_id, kind, sender, args, on_receipt)
         self._next_tx_id += 1
         self._queue.append(tx)
         return tx.tx_id
@@ -292,22 +293,26 @@ class Ledger:
         for on_receipt, receipt in receipts:
             on_receipt(receipt)
 
+    # tx kind -> the method its args are applied to, looked up on the
+    # instance at execution so that a wrapped method is the one called
+    OPERATIONS = {
+        "mint": "execute_mint",  # (recipient, amount)
+        "burn": "execute_burn",  # (owner, amount)
+        "transfer": "execute_transfer",  # (src, dst, amount)
+        "post_price": "execute_post_price",  # (feed, price)
+        "set_reserve": "set_attested_reserve",  # (amount, auditor)
+        "governance": "execute_governance",  # (apply,)
+    }
+
     def _execute(self, tx: Tx) -> Receipt:
-        if tx.kind == "mint":
-            return self.execute_mint(tx.payload["to"], tx.payload["amount"])
-        if tx.kind == "burn":
-            return self.execute_burn(tx.payload["owner"], tx.payload["amount"])
-        if tx.kind == "transfer":
-            return self.execute_transfer(
-                tx.payload["from"], tx.payload["to"], tx.payload["amount"]
-            )
-        if tx.kind == "post_price":
-            return self.execute_post_price(tx.payload["feed"], tx.payload["price"])
-        if tx.kind == "set_reserve":
-            return self.set_attested_reserve(tx.payload["amount"], tx.sender)
-        if tx.kind == "governance":
-            return tx.payload["apply"]()
-        return Receipt(False, f"unknown tx kind {tx.kind!r}")
+        operation = self.OPERATIONS.get(tx.kind)
+        if operation is None:
+            return Receipt(False, f"unknown tx kind {tx.kind!r}")
+        return getattr(self, operation)(*tx.args)
+
+    @staticmethod
+    def execute_governance(apply: Callable[[], Receipt]) -> Receipt:
+        return apply()
 
     # -- token operations ----------------------------------------------------
 

@@ -47,7 +47,6 @@ class LoadGenerator:
         self.rng = sim.sched.fork_rng("load")
         self.size_rng = sim.sched.fork_rng("sizes")
         self._mix = sorted(self.config.action_mix.items())
-        self._active: set[str] = set()
         # One list, so the ledger, the orchestrator and the load share its strings.
         self._user_ids = [f"user-{i:04d}" for i in range(1, self.config.user_count + 1)]
 
@@ -55,10 +54,12 @@ class LoadGenerator:
         return self._user_ids
 
     def start_user(self, user_id: str) -> None:
-        """Called once the user's onboarding finishes."""
-        if user_id in self._active:
-            return
-        self._active.add(user_id)
+        """Start the user's load; called exactly once per user, when its
+        onboarding approves it (by the onboard report or as preapproved).
+
+        Nothing guards a second call, which would start a second stream of
+        actions for the user.
+        """
         if self.config.load_model == "closed":
             self._schedule_next_closed(user_id)
         elif self.config.user_arrival_hz > 0:
@@ -109,7 +110,9 @@ class LoadGenerator:
             return
         if report.kind == "onboard":
             return
-        if report.user in self._active:
+        # Users are started exactly when approved, so this continues the
+        # started ones; a burst issue from a user not yet approved is not.
+        if self.sim.orchestrator.is_approved(report.user):
             self._schedule_next_closed(report.user)
 
 
@@ -124,13 +127,13 @@ class Simulation:
         self.vault = Vault(
             self.sched, self.log, config,
             submit_attestation=lambda amount, auditor: self.ledger.submit_tx(
-                "set_reserve", auditor, {"amount": amount}
+                "set_reserve", auditor, (amount, auditor)
             ),
         )
         self.oracle = OracleHub(
             self.sched, self.log, config,
             post_price=lambda feed, price: self.ledger.submit_tx(
-                "post_price", feed, {"feed": feed, "price": price}
+                "post_price", feed, (feed, price)
             ),
         )
         self.exchange = Exchange(

@@ -47,13 +47,13 @@ class World:
         self.vault = Vault(
             self.sched, self.log, config,
             submit_attestation=lambda amount, auditor: self.ledger.submit_tx(
-                "set_reserve", auditor, {"amount": amount}
+                "set_reserve", auditor, (amount, auditor)
             ),
         )
         self.oracle = OracleHub(
             self.sched, self.log, config,
             post_price=lambda feed, price: self.ledger.submit_tx(
-                "post_price", feed, {"feed": feed, "price": price}
+                "post_price", feed, (feed, price)
             ),
         )
         self.exchange = Exchange(

@@ -3,6 +3,7 @@ import gc
 import importlib.util
 import json
 import tracemalloc
+import types
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -382,6 +383,45 @@ def test_run_keeps_no_workflow_report_objects(name):
     assert len(sim.metrics.samples) > 0
 
 
+def test_obligations_in_flight_hold_no_bound_method_each():
+    """Each order expiry, settlement waiter and netted transfer in flight is
+    one object that is its own callback, not a bound method made for it.
+
+    The probe fires at 6 s of a 2k-user, 8 s bench-base point, when
+    thousands of these are pending.  The expiries share the one method the
+    orchestrator binds when it is built; a flow and a batch are called
+    directly.  Only a flow's pending pre-trade action is a bound method.
+    """
+    from ozsim.agents.orchestrator import Orchestrator, _OrderFlow
+    from ozsim.exchange import _Batch
+
+    config = bench_config(dataclasses.replace(load_bundled("bench-base"), duration_ms=8_000), 2_000)
+    sim = Simulation(config)
+
+    def methods():
+        return [m for m in gc.get_objects() if isinstance(m, types.MethodType)]
+
+    built = [m for m in methods() if isinstance(m.__self__, Orchestrator)]
+    seen = {}
+
+    def probe():
+        live = methods()
+        seen["orchestrator"] = sum(
+            isinstance(m.__self__, Orchestrator) and not any(m is b for b in built) for m in live
+        )
+        seen["batch"] = sum(isinstance(m.__self__, _Batch) for m in live)
+        seen["flow"] = sum(
+            isinstance(m.__self__, _OrderFlow) and m.__func__ is not _OrderFlow.place
+            for m in live
+        )
+        seen["in flight"] = sum(isinstance(o, (_OrderFlow, _Batch)) for o in gc.get_objects())
+
+    sim.sched.schedule(6_000, 7, "probe", probe)
+    sim.execute()
+    assert seen.pop("in flight") > 1_000
+    assert seen == {"orchestrator": 0, "batch": 0, "flow": 0}
+
+
 def cut_line(log: bytes, index: int) -> bytes:
     """The log with three characters cut off the end of one line."""
     lines = log.split(b"\n")
@@ -536,6 +576,31 @@ class TestCli:
         assert cli_main(["bench", "--users", "200,100"]) == 1
         assert "config error: user counts must be ascending" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--users=-5"], "user counts must be positive, got -5"),
+        (["--users", "0,100"], "user counts must be positive, got 0"),
+        (["--users", "200", "--warmup-ms", "100000000"],
+         "warm-up 100000000 ms is outside [0, 60000) ms"),
+        (["--users", "200", "--warmup-ms=-1"], "warm-up -1 ms is outside [0, 60000) ms"),
+    ])
+    def test_bench_refuses_counts_and_warmups_it_cannot_measure(self, flags, message, capsys):
+        assert cli_main(["bench", *flags]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_bench_writes_a_report_of_strict_json(self, tmp_path):
+        scenario = tmp_path / "bench.json"
+        config = dataclasses.replace(load_bundled("bench-base"), duration_ms=10_000)
+        scenario.write_text(json.dumps(config.to_dict()))
+        out = tmp_path / "b"
+        assert cli_main(["bench", "--scenario", str(scenario), "--users", "20,40",
+                         "--warmup-ms", "2000", "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} in bench_report.json")
+
+        report = json.loads((out / "bench_report.json").read_text(), parse_constant=refuse)
+        assert [row["users"] for row in report["rows"]] == [20, 40]
+
     def test_scenarios_list(self, capsys):
         assert cli_main(["scenarios", "list"]) == 0
         out = capsys.readouterr().out
@@ -553,6 +618,16 @@ def test_bench_smoke_two_counts():
     assert [r["users"] for r in rows] == [50, 100]
     assert all(r["completed"] > 0 for r in rows)
     assert rows[1]["sustained_tps"] > rows[0]["sustained_tps"]
+
+
+@pytest.mark.parametrize("counts, warmup_ms", [([-5], 5_000), ([0], 5_000),
+                                               ([50], -1), ([50], 20_000)])
+def test_run_bench_refuses_counts_and_warmups_it_cannot_measure(counts, warmup_ms):
+    from ozsim.bench import run_bench
+
+    base = dataclasses.replace(load_bundled("bench-base"), duration_ms=20_000)
+    with pytest.raises(ValueError):
+        run_bench(base, counts, warmup_ms=warmup_ms)
 
 
 def load_tracing():

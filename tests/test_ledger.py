@@ -5,6 +5,7 @@ import pytest
 
 from ozsim.config import ScenarioConfig
 from ozsim.ledger import (
+    ACCEPTED,
     AUDITOR,
     Ledger,
     OutOfBounds,
@@ -37,7 +38,7 @@ def test_tx_submitted_mid_second_lands_in_next_block():
     sched.run_until(10_400)
     heights = []
     ledger.submit_tx(
-        "mint", "issuer", {"to": "alice", "amount": to_micro(1)},
+        "mint", "issuer", ("alice", to_micro(1)),
         on_receipt=lambda r: heights.append((ledger.height, r.accepted)),
     )
     sched.run_until(10_999)
@@ -55,8 +56,8 @@ def test_txs_execute_in_submission_order():
     ledger.genesis_mint("alice", to_micro(5))
     ledger.start()
     # Second transfer only succeeds if the first executed before it.
-    ledger.submit_tx("transfer", "alice", {"from": "alice", "to": "bob", "amount": to_micro(5)})
-    ledger.submit_tx("transfer", "bob", {"from": "bob", "to": "carol", "amount": to_micro(5)})
+    ledger.submit_tx("transfer", "alice", ("alice", "bob", to_micro(5)))
+    ledger.submit_tx("transfer", "bob", ("bob", "carol", to_micro(5)))
     sched.run_until(1000)
     assert ledger.balance("carol") == to_micro(5)
 
@@ -69,7 +70,7 @@ def test_transfer_during_halt_included_but_reverted():
     ledger.trip_breaker(0, "test", source="test")
     receipts = []
     ledger.submit_tx(
-        "transfer", "alice", {"from": "alice", "to": "bob", "amount": to_micro(1)},
+        "transfer", "alice", ("alice", "bob", to_micro(1)),
         on_receipt=receipts.append,
     )
     sched.run_until(1300)
@@ -77,6 +78,47 @@ def test_transfer_during_halt_included_but_reverted():
     assert not receipts[0].accepted
     assert receipts[0].reason == REVERT_TRADING_HALTED
     assert ledger.balance("alice") == to_micro(5)
+
+
+def test_each_tx_kind_applies_its_argument_tuple():
+    stream = io.StringIO()
+    sched, ledger = make_ledger(EventLog(stream))
+    ledger.set_genesis_reserve(to_micro(1000))
+    ledger.genesis_mint("alice", to_micro(10))
+    ledger.start()
+    applied = []
+
+    def apply():
+        applied.append(sched.now())
+        return ACCEPTED
+
+    txs = [
+        ("mint", "issuer", ("bob", to_micro(1))),
+        ("burn", "alice", ("alice", to_micro(2))),
+        ("transfer", "alice", ("alice", "carol", to_micro(3))),
+        ("post_price", "primary", ("primary", to_micro(2000))),
+        ("set_reserve", AUDITOR, (to_micro(900), AUDITOR)),
+        ("governance", "governance", (apply,)),
+        ("x", "mallory", ()),
+    ]
+    receipts = {}
+    for kind, sender, args in txs:
+        ledger.submit_tx(kind, sender, args, on_receipt=lambda r, k=kind: receipts.setdefault(k, r))
+    sched.run_until(5_000)
+
+    assert [receipts[kind].accepted for kind, _, _ in txs] == [True] * 6 + [False]
+    assert receipts["x"].reason == "unknown tx kind 'x'"
+    assert (ledger.balance("alice"), ledger.balance("bob"), ledger.balance("carol")) == (
+        to_micro(5), to_micro(1), to_micro(3))
+    assert ledger.total_supply == to_micro(9)
+    assert ledger._price_window.latest == to_micro(2000)
+    assert ledger.attested_reserve == to_micro(900)
+    assert applied == [1_000]
+    records = map(json.loads, stream.getvalue().splitlines())
+    block = next(r for r in records if r["kind"] == "block" and r["detail"]["txs"])
+    assert block["detail"]["txs"] == [
+        [kind, sender, "ok"] for kind, sender, _ in txs[:-1]
+    ] + [["x", "mallory", "unknown tx kind 'x'"]]
 
 
 class TestMint:
@@ -261,11 +303,11 @@ def test_conservation_over_random_blocks():
             a, b = rng.choice(addrs), rng.choice(addrs)
             amount = rng.randrange(1, to_micro(5))
             if kind == "mint":
-                ledger.submit_tx("mint", "issuer", {"to": a, "amount": amount})
+                ledger.submit_tx("mint", "issuer", (a, amount))
             elif kind == "burn":
-                ledger.submit_tx("burn", a, {"owner": a, "amount": amount})
+                ledger.submit_tx("burn", a, (a, amount))
             else:
-                ledger.submit_tx("transfer", a, {"from": a, "to": b, "amount": amount})
+                ledger.submit_tx("transfer", a, (a, b, amount))
         sched.run_until((step + 1) * 1000)
         assert sum(ledger.balances.values()) == ledger.total_supply
         assert ledger.total_supply <= ledger.attested_reserve + ledger.epsilon

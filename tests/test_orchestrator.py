@@ -240,7 +240,7 @@ def test_redeem_whose_burn_reverts_returns_the_holdings(world_factory):
     w.orchestrator.handle("redeem", "carol", to_micro(5))
     assert w.orchestrator.holdings("carol") == 0  # committed to the redemption
     # the balance leaves in the same block, ahead of the burn submitted at 10.400 s
-    w.ledger.submit_tx("transfer", "carol", {"from": "carol", "to": "dave", "amount": to_micro(5)})
+    w.ledger.submit_tx("transfer", "carol", ("carol", "dave", to_micro(5)))
     w.run_to(20_000)
     (report,) = w.reports
     assert (report.kind, report.status) == ("redeem", "reverted")

@@ -147,7 +147,7 @@ class TestConcentration:
         w.run_to(2_000)
         assert [a for a in w.risk.alerts if a.kind == CONCENTRATION] == []
         # burn elsewhere: a's share rises above 20% without a touching its balance
-        w.ledger.submit_tx("burn", "r0", {"owner": "r0", "amount": to_micro(100)})
+        w.ledger.submit_tx("burn", "r0", ("r0", to_micro(100)))
         w.run_to(4_000)
         flags = [a for a in w.risk.alerts if a.kind == CONCENTRATION]
         assert len(flags) == 1 and flags[0].detail["address"] == "a"
