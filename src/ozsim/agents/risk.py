@@ -19,6 +19,7 @@ from ..config import RiskSpec
 from ..ledger import Ledger
 from ..oracle import OracleHub, PRIMARY, SECONDARY
 from ..sim import EventLog, Scheduler
+from ..vault import Vault
 from .issuance import ISSUER_ADDRESS
 from .market_maker import COLD_ADDRESS, MM_ADDRESS
 
@@ -86,11 +87,13 @@ class RiskAgent:
         config: RiskSpec,
         oracle: Optional[OracleHub] = None,
         governance=None,
+        vault: Optional[Vault] = None,
     ):
         self.sched = sched
         self.log = log
         self.ledger = ledger
         self.oracle = oracle
+        self.vault = vault
         self.config = config
         self.governance = governance
         self.agent_versions: dict[str, str] = {}
@@ -140,25 +143,29 @@ class RiskAgent:
         finding = self.oracle.detect(
             now, self.config.staleness_threshold_ms, self.config.divergence_threshold
         )
+        alert = self.oracle_alert
+        episode_open = alert is not None and alert.cleared_at is None
         if finding is None:
-            if self.oracle_alert is not None and self.oracle_alert.cleared_at is None:
-                self.oracle_alert.cleared_at = now
-                self.log.append(now, "risk", "alert_cleared", {"kind": self.oracle_alert.kind})
-                if self.oracle.active_feed != PRIMARY:
-                    self.oracle.switch_active(PRIMARY, now)
-                    self.ledger.set_reference_feed(PRIMARY, now, "risk")
+            if episode_open:
+                alert.cleared_at = now
+                self.log.append(now, "risk", "alert_cleared", {"kind": alert.kind})
+                self.oracle.switch_reference(PRIMARY, now, "risk")
             return None
-        if self.oracle_alert is not None and self.oracle_alert.cleared_at is None:
-            return None  # one alert per episode
-        kind = ORACLE_STALE if finding == "stale" else ORACLE_DIVERGED
-        self.oracle.switch_active(SECONDARY, now)
-        self.ledger.set_reference_feed(SECONDARY, now, "risk")
-        self.ledger.trip_breaker(now, f"oracle {finding}", source="risk")
-        alert = self._raise(
-            kind, now, "switched to secondary feed; circuit breaker engaged", {"finding": finding}
-        )
-        self.oracle_alert = alert
-        return alert
+        raised = None
+        if not episode_open:  # one alert per episode
+            kind = ORACLE_STALE if finding == "stale" else ORACLE_DIVERGED
+            self.oracle.switch_reference(SECONDARY, now, "risk")
+            self.ledger.trip_breaker(now, f"oracle {finding}", source="risk")
+            alert = raised = self.oracle_alert = self._raise(
+                kind, now, "switched to secondary feed; circuit breaker engaged",
+                {"finding": finding},
+            )
+        # credit the faults behind the samples judged: stale is the primary's alone
+        for feed in (PRIMARY,) if finding == "stale" else (PRIMARY, SECONDARY):
+            fault = self.oracle.feeds[feed].last_fault
+            if fault is not None and fault.alert is None:
+                fault.alert, fault.detected_ms = alert, now
+        return raised
 
     def _check_reserve(self, now: int) -> Optional[RiskAlert]:
         supply = self.ledger.total_supply
@@ -175,6 +182,11 @@ class RiskAgent:
             )
             self.shortfall_alert = alert
             self.clear_requested = False
+            # credit the misreport behind the attestation, observable once applied
+            fault = self.vault.last_fault if self.vault is not None else None
+            if fault is not None and fault.alert is None:
+                fault.alert, fault.detected_ms = alert, now
+                fault.onset_ms = self.ledger.reserve_attested_at
             return alert
         # Unfreezing needs both a covering attestation and an explicit clear.
         if self.issuance_frozen and self.clear_requested:

@@ -11,6 +11,7 @@ import dataclasses
 import statistics
 from dataclasses import dataclass
 from itertools import compress
+from typing import Optional
 
 from .agents.orchestrator import COMPLETED, ONBOARD
 from .config import ScenarioConfig
@@ -22,7 +23,7 @@ class BenchRow:
     users: int
     sustained_tps: float
     peak_tps: float
-    median_latency_ms: float
+    median_latency_ms: Optional[float]  # None: nothing completed after the warm-up
     utilization: float
     completed: int
     failed: int
@@ -59,12 +60,11 @@ def run_count(base: ScenarioConfig, users: int, warmup_ms: int = 15_000) -> Benc
         1 for kind, status in zip(reports.kind, reports.status)
         if status != ok and kind != onboard
     )
-    median = statistics.median(latencies) if latencies else float("nan")
     return BenchRow(
         users=users,
         sustained_tps=statistics.fmean(tps_values) if tps_values else 0.0,
         peak_tps=max(tps_values) if tps_values else 0.0,
-        median_latency_ms=median,
+        median_latency_ms=statistics.median(latencies) if latencies else None,
         utilization=statistics.fmean(util_values) if util_values else 0.0,
         completed=len(latencies),
         failed=failed,
@@ -139,9 +139,10 @@ def format_table(report: dict) -> str:
         f"{'users':>7}  {'tps':>9}  {'peak':>9}  {'p50 ms':>8}  {'util':>6}  {'done':>8}  {'fail':>6}"
     ]
     for row in report["rows"]:
+        median = row["median_latency_ms"]
         lines.append(
             f"{row['users']:>7}  {row['sustained_tps']:>9.1f}  {row['peak_tps']:>9.1f}"
-            f"  {row['median_latency_ms']:>8.0f}  {row['utilization']:>6.3f}"
+            f"  {'-' if median is None else f'{median:.0f}':>8}  {row['utilization']:>6.3f}"
             f"  {row['completed']:>8}  {row['failed']:>6}"
         )
     analysis = report.get("analysis", {})

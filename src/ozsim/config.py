@@ -13,12 +13,15 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Annotated, Any, Optional, Union, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Annotated, Any, Optional, Union, get_args, get_origin, get_type_hints
 
 from .governance import SIGNERS
 from .ledger import PARAM_DEFAULTS, OutOfBounds, ParamStore
 from .oracle import PRIMARY, SECONDARY, Regime
 from .units import to_micro
+
+if TYPE_CHECKING:  # risk imports this module
+    from .agents.risk import RiskAlert
 
 
 class ConfigError(Exception):
@@ -97,6 +100,16 @@ class FaultSpec:
     duration_ms: NonNegativeInt
     feed: str = "primary"
     magnitude: float = 0.0
+
+
+@dataclass(eq=False)  # a restore removes its own record, by identity
+class Fault:
+    """One run's record of a FaultSpec, kept by the feed or vault it acts on."""
+
+    spec: FaultSpec
+    onset_ms: int  # a misreport's moves to the landing of the attestation it shaped
+    alert: Optional[RiskAlert] = None  # the first alert credited to it
+    detected_ms: Optional[int] = None  # when that alert was credited
 
 
 @dataclass

@@ -76,8 +76,6 @@ class Governance:
         self.ledger = ledger
         self.alert_sink = alert_sink
         self._next_id = 1
-        self.multisig_proposals: dict[int, MultisigProposal] = {}
-        self.param_proposals: dict[int, ParamProposal] = {}
         self.pending_agent_updates: list[tuple[str, str]] = []
 
     def _log(self, kind: str, detail: dict, t: Optional[int] = None) -> None:
@@ -89,7 +87,6 @@ class Governance:
     def propose_update(self, agent: str, version: str) -> MultisigProposal:
         proposal = MultisigProposal(self._next_id, agent, version)
         self._next_id += 1
-        self.multisig_proposals[proposal.proposal_id] = proposal
         self._log("update_proposed", {"id": proposal.proposal_id, "agent": agent, "version": version})
         return proposal
 
@@ -137,7 +134,6 @@ class Governance:
             power_snapshot=snapshot,
         )
         self._next_id += 1
-        self.param_proposals[proposal.proposal_id] = proposal
         self._log(
             "param_proposed",
             {"id": proposal.proposal_id, "key": param_key, "value": new_value},

@@ -178,8 +178,7 @@ class Ledger:
         self.reference_feed = "primary"
         # one {tripped_at, reason[, lifted_at, lift_reason]} row per halt
         self.halts: list[dict] = []
-        # (t, amount) of every applied reserve attestation
-        self.reserve_attestations: list[tuple[int, int]] = []
+        self.reserve_attested_at = 0  # when the latest attestation was applied
 
         self.height = 0
         self.accepted_tx_count = 0
@@ -362,7 +361,7 @@ class Ledger:
             return Receipt(False, REVERT_UNAUTHORIZED)
         now = self.sched.now()
         self.attested_reserve = amount
-        self.reserve_attestations.append((now, amount))
+        self.reserve_attested_at = now
         self.log.append(
             now,
             "ledger",
@@ -474,8 +473,6 @@ class Ledger:
         self.log.append(now, "ledger", kind, {"source": source})
 
     def set_reference_feed(self, feed: str, now: int, source: str) -> None:
-        if feed == self.reference_feed:
-            return
         self.reference_feed = feed
         self._price_window.clear()
         self.log.append(now, "ledger", "reference_feed", {"feed": feed, "source": source})

@@ -3,21 +3,23 @@
 The true price follows a geometric random walk with a piecewise-constant
 volatility schedule.  The primary feed publishes the true price; the secondary
 adds small independent observation noise.  Faults make a feed stop updating
-(stuck) or report with a multiplicative offset (spoofed).
+(stuck) or report with a multiplicative offset (spoofed); while faults on one
+feed overlap, the one injected last acts.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .sim import EventLog, RngStream, Scheduler
 from .units import to_micro
 
 if TYPE_CHECKING:  # config imports this module
-    from .config import PriceSpec, ScenarioConfig
+    from .config import Fault, PriceSpec, ScenarioConfig
+    from .ledger import Ledger
 
 PRIMARY = "primary"
 SECONDARY = "secondary"
@@ -35,15 +37,10 @@ class PriceSample:
 
 
 @dataclass
-class Fault:
-    kind: str  # "stuck" | "spoofed"
-    offset_fraction: float = 0.0
-
-
-@dataclass
 class FeedState:
     last: PriceSample
-    fault: Optional[Fault] = None
+    faults: list[Fault] = field(default_factory=list)  # the active ones; the last acts
+    last_fault: Optional[Fault] = None  # the one acting at the latest publish attempt
 
 
 @dataclass(frozen=True)
@@ -98,21 +95,20 @@ class OracleHub:
         sched: Scheduler,
         log: EventLog,
         config: ScenarioConfig,
-        post_price=None,  # callable(feed, price) submitting the on-chain tx
+        ledger: Optional[Ledger] = None,  # where prices are posted and the reference is kept
     ):
         self.sched = sched
         self.log = log
         self.process = process = PriceProcess(config.price, sched.fork_rng("price"))
         self.noise_rng = sched.fork_rng("secondary-noise")
         self.secondary_noise_frac = config.secondary_noise_frac
-        self.post_price = post_price
+        self.ledger = ledger
         now = sched.now()
         p = process.price
         self.feeds: dict[str, FeedState] = {
             PRIMARY: FeedState(PriceSample(p, now)),
             SECONDARY: FeedState(PriceSample(p, now)),
         }
-        self.active_feed = PRIMARY
         self.true_price = p
 
     def start(self) -> None:
@@ -128,23 +124,23 @@ class OracleHub:
 
     def _publish(self, feed: str, now: int) -> None:
         state = self.feeds[feed]
-        fault = state.fault
-        if fault is not None and fault.kind == "stuck":
+        fault = state.last_fault = state.faults[-1] if state.faults else None
+        if fault is not None and fault.spec.kind == "stuck":
             return  # last sample frozen, nothing posted
         price = self.true_price
         if feed == SECONDARY and self.secondary_noise_frac > 0:
             price = round(price * (1.0 + self.noise_rng.gauss(0.0, self.secondary_noise_frac)))
-        if fault is not None and fault.kind == "spoofed":
-            price = round(price * (1.0 + fault.offset_fraction))
+        if fault is not None and fault.spec.kind == "spoofed":
+            price = round(price * (1.0 + fault.spec.magnitude))
         state.last = PriceSample(price, now)
-        if self.post_price is not None:
-            self.post_price(feed, price)
+        if self.ledger is not None:
+            self.ledger.submit_tx("post_price", feed, (feed, price))
 
     # -- observation ----------------------------------------------------------
 
     def reference_price(self) -> int:
-        """Latest price reported by the active feed."""
-        return self.feeds[self.active_feed].last.price
+        """Latest price reported by the ledger's reference feed."""
+        return self.feeds[self.ledger.reference_feed].last.price
 
     def detect(self, now: int, staleness_threshold_ms: int, divergence_threshold: float) -> Optional[str]:
         return detect_divergence(
@@ -155,27 +151,24 @@ class OracleHub:
             divergence_threshold,
         )
 
-    def switch_active(self, feed: str, now: int) -> None:
-        if feed not in self.feeds:
-            raise UnknownFeed(feed)
-        if feed == self.active_feed:
+    def switch_reference(self, feed: str, now: int, source: str) -> None:
+        if feed == self.ledger.reference_feed:
             return
-        self.active_feed = feed
         self.log.append(now, "oracle", "feed_switch", {"active": feed})
+        self.ledger.set_reference_feed(feed, now, source)
 
     # -- fault injection ---------------------------------------------------
 
-    def inject_fault(self, feed: str, kind: str, now: int, offset_fraction: float = 0.0) -> None:
-        if feed not in self.feeds:
-            raise UnknownFeed(feed)
-        self.feeds[feed].fault = Fault(kind, offset_fraction)
+    def inject_fault(self, fault: Fault, now: int) -> None:
+        spec = fault.spec
+        if spec.feed not in self.feeds:
+            raise UnknownFeed(spec.feed)
+        self.feeds[spec.feed].faults.append(fault)
         self.log.append(
             now, "oracle", "fault_injected",
-            {"feed": feed, "kind": kind, "offset": offset_fraction},
+            {"feed": spec.feed, "kind": spec.kind, "offset": spec.magnitude},
         )
 
-    def restore(self, feed: str, now: int) -> None:
-        if feed not in self.feeds:
-            raise UnknownFeed(feed)
-        self.feeds[feed].fault = None
-        self.log.append(now, "oracle", "fault_restored", {"feed": feed})
+    def restore(self, fault: Fault, now: int) -> None:
+        self.feeds[fault.spec.feed].faults.remove(fault)
+        self.log.append(now, "oracle", "fault_restored", {"feed": fault.spec.feed})

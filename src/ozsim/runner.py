@@ -17,7 +17,7 @@ from .agents.issuance import ISSUER_ADDRESS, IssuanceAgent
 from .agents.market_maker import COLD_ADDRESS, MM_ADDRESS, MarketMakerAgent
 from .agents.orchestrator import BUY, ISSUE, Orchestrator, REDEEM, SELL, UserState
 from .agents.risk import RiskAgent
-from .config import AgentUpdate, ClearRiskAlert, ParamProposal, ScenarioConfig, Unpause
+from .config import AgentUpdate, ClearRiskAlert, Fault, ParamProposal, ScenarioConfig, Unpause
 from .exchange import Exchange
 from .governance import Governance
 from .ledger import Ledger
@@ -130,12 +130,7 @@ class Simulation:
                 "set_reserve", auditor, (amount, auditor)
             ),
         )
-        self.oracle = OracleHub(
-            self.sched, self.log, config,
-            post_price=lambda feed, price: self.ledger.submit_tx(
-                "post_price", feed, (feed, price)
-            ),
-        )
+        self.oracle = OracleHub(self.sched, self.log, config, ledger=self.ledger)
         self.exchange = Exchange(
             self.sched, self.log, self.ledger, config,
             onboarded=lambda addr: self.orchestrator.is_approved(addr),
@@ -144,7 +139,7 @@ class Simulation:
         self.governance = Governance(self.ledger)
         self.risk = RiskAgent(
             self.sched, self.log, self.ledger, config.risk,
-            oracle=self.oracle, governance=self.governance,
+            oracle=self.oracle, governance=self.governance, vault=self.vault,
         )
         self.governance.alert_sink = self.risk.governance_alert
         self.issuance = IssuanceAgent(
@@ -171,6 +166,7 @@ class Simulation:
         )
         for addr in (MM_ADDRESS, COLD_ADDRESS, ISSUER_ADDRESS):
             self.orchestrator.register_platform(addr)
+        self.faults = [Fault(spec, spec.start_ms) for spec in config.fault_schedule]
         self._genesis()
 
     def _on_report(self, report) -> None:
@@ -228,16 +224,16 @@ class Simulation:
 
     def _schedule_faults(self) -> None:
         now = self.sched.now
-        for fault in self.config.fault_schedule:
-            if fault.target == "oracle":
-                on, off = (lambda f=fault: self.oracle.inject_fault(
-                               f.feed, f.kind, now(), offset_fraction=f.magnitude),
-                           lambda f=fault: self.oracle.restore(f.feed, now()))
+        for fault in self.faults:
+            spec = fault.spec
+            if spec.target == "oracle":
+                on, off = (lambda f=fault: self.oracle.inject_fault(f, now()),
+                           lambda f=fault: self.oracle.restore(f, now()))
             else:
-                on, off = (lambda f=fault: self.vault.inject_misreport(f.magnitude, now()),
-                           lambda: self.vault.restore(now()))
-            self.sched.schedule(fault.start_ms, 4, "fault_on", on)
-            self.sched.schedule(fault.start_ms + fault.duration_ms, 4, "fault_off", off)
+                on, off = (lambda f=fault: self.vault.inject_misreport(f, now()),
+                           lambda f=fault: self.vault.restore(f, now()))
+            self.sched.schedule(spec.start_ms, 4, "fault_on", on)
+            self.sched.schedule(spec.start_ms + spec.duration_ms, 4, "fault_off", off)
 
     def _schedule_actions(self) -> None:
         """The governance schedule, then the ops schedule, each in file order."""
@@ -336,42 +332,19 @@ class Simulation:
         ]
 
     def fault_findings(self) -> list[dict]:
-        """Join the fault schedule with alerts: one row per injected fault."""
-        kind_map = {
-            "stuck": ("OracleStale", "OracleDiverged"),
-            "spoofed": ("OracleDiverged", "OracleStale"),
-            "misreport": ("ReserveShortfall",),
-        }
-        findings = []
-        for fault in self.config.fault_schedule:
-            onset = fault.start_ms
-            if fault.kind == "misreport":
-                # observable when the first short-reporting attestation lands on-chain
-                short = next(
-                    (a for a in self.vault.short_attestations if a[0] >= fault.start_ms), None
-                )
-                if short is not None:
-                    onset = next(
-                        (t for t, amount in self.ledger.reserve_attestations
-                         if t > short[0] and amount == short[1]),
-                        onset,
-                    )
-            accepted = kind_map.get(fault.kind, ())
-            matches = [
-                a for a in self.risk.alerts
-                if a.kind in accepted and a.raised_at >= fault.start_ms
-            ]
-            row = {
-                "target": fault.target,
-                "fault": fault.kind,
-                "onset_ms": onset,
-                "kind": matches[0].kind if matches else "",
-                "detected_ms": matches[0].raised_at if matches else "",
-                "latency_ms": matches[0].raised_at - onset if matches else "",
-                "action": matches[0].action_taken if matches else "undetected",
+        """One row per scheduled fault: the first alert credited to it, if any."""
+        return [
+            {
+                "target": f.spec.target,
+                "fault": f.spec.kind,
+                "onset_ms": f.onset_ms,
+                "kind": f.alert.kind if f.alert else "",
+                "detected_ms": f.detected_ms if f.alert else "",
+                "latency_ms": f.detected_ms - f.onset_ms if f.alert else "",
+                "action": f.alert.action_taken if f.alert else "undetected",
             }
-            findings.append(row)
-        return findings
+            for f in self.faults
+        ]
 
 
 def run_scenario(

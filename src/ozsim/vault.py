@@ -3,7 +3,8 @@
 The vault reports total ounces held via periodic attestations that land
 on-chain as the attested reserve.  Issuance locks ounces before the mint is
 submitted; redemptions release the lock and withdraw the metal.  The misreport
-fault shaves a fraction off the reported (not actual) holdings.
+fault shaves a fraction off the reported (not actual) holdings; while
+misreports overlap, the one injected last acts.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .config import ScenarioConfig
+from .config import Fault, ScenarioConfig
 from .ledger import AUDITOR
 from .sim import EventLog, Scheduler
 from .units import to_micro
@@ -46,9 +47,8 @@ class Vault:
         self.total_micro_oz = to_micro(config.vault_initial_oz)
         self.locked_micro_oz = 0
         self.submit_attestation = submit_attestation
-        self.misreport_fraction: Optional[float] = None
-        # (t, reported) of every attestation reporting less than is held
-        self.short_attestations: list[tuple[int, int]] = []
+        self.faults: list[Fault] = []  # the active misreports; the last acts
+        self.last_fault: Optional[Fault] = None  # the one acting at the latest attestation
 
     @property
     def unlocked_micro_oz(self) -> int:
@@ -101,11 +101,10 @@ class Vault:
     # -- attestations -----------------------------------------------------------
 
     def issue_attestation(self, now: int) -> None:
+        fault = self.last_fault = self.faults[-1] if self.faults else None
         reported = self.total_micro_oz
-        if self.misreport_fraction is not None:
-            reported = round(self.total_micro_oz * (1.0 - self.misreport_fraction))
-        if reported != self.total_micro_oz:
-            self.short_attestations.append((now, reported))
+        if fault is not None:
+            reported = round(self.total_micro_oz * (1.0 - fault.spec.magnitude))
         self.log.append(
             now, "vault", "attestation", {"reported": reported, "actual": self.total_micro_oz}
         )
@@ -121,10 +120,10 @@ class Vault:
 
     # -- fault injection -----------------------------------------------------
 
-    def inject_misreport(self, shortfall_fraction: float, now: int) -> None:
-        self.misreport_fraction = shortfall_fraction
-        self.log.append(now, "vault", "fault_injected", {"shortfall": shortfall_fraction})
+    def inject_misreport(self, fault: Fault, now: int) -> None:
+        self.faults.append(fault)
+        self.log.append(now, "vault", "fault_injected", {"shortfall": fault.spec.magnitude})
 
-    def restore(self, now: int) -> None:
-        self.misreport_fraction = None
+    def restore(self, fault: Fault, now: int) -> None:
+        self.faults.remove(fault)
         self.log.append(now, "vault", "fault_restored", {})

@@ -50,18 +50,13 @@ class World:
                 "set_reserve", auditor, (amount, auditor)
             ),
         )
-        self.oracle = OracleHub(
-            self.sched, self.log, config,
-            post_price=lambda feed, price: self.ledger.submit_tx(
-                "post_price", feed, (feed, price)
-            ),
-        )
+        self.oracle = OracleHub(self.sched, self.log, config, ledger=self.ledger)
         self.exchange = Exchange(
             self.sched, self.log, self.ledger, config, onboarded=self._onboarded
         )
         self.compliance = ComplianceAgent(ComplianceSpec())
         self.risk = RiskAgent(
-            self.sched, self.log, self.ledger, RiskSpec(), oracle=self.oracle
+            self.sched, self.log, self.ledger, RiskSpec(), oracle=self.oracle, vault=self.vault
         )
         self.issuance = IssuanceAgent(
             self.sched, self.log, self.ledger, self.vault,

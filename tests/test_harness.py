@@ -620,6 +620,17 @@ def test_bench_smoke_two_counts():
     assert rows[1]["sustained_tps"] > rows[0]["sustained_tps"]
 
 
+def test_bench_without_completions_after_warmup_reports_no_median():
+    from ozsim.bench import format_table, run_bench
+
+    report = run_bench(load_bundled("bench-base"), [20], warmup_ms=59_999)
+    row = report["rows"][0]
+    assert row["completed"] == 0 and row["median_latency_ms"] is None
+    assert report["analysis"]["final_median_latency_ms"] is None
+    json.dumps(report, allow_nan=False)
+    assert format_table(report).splitlines()[1].split()[3] == "-"
+
+
 @pytest.mark.parametrize("counts, warmup_ms", [([-5], 5_000), ([0], 5_000),
                                                ([50], -1), ([50], 20_000)])
 def test_run_bench_refuses_counts_and_warmups_it_cannot_measure(counts, warmup_ms):

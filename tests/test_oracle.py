@@ -3,7 +3,7 @@ import statistics
 
 import pytest
 
-from ozsim.config import PriceSpec, ScenarioConfig
+from ozsim.config import Fault, FaultSpec, PriceSpec, ScenarioConfig
 from ozsim.oracle import (
     PRIMARY,
     SECONDARY,
@@ -26,6 +26,10 @@ def make_hub(seed=11, noise=0.0002, regimes=None):
         price=PriceSpec(regimes=regimes or [Regime(0, 0.0)]),
     )
     return sched, OracleHub(sched, EventLog(), config)
+
+
+def oracle_fault(kind, feed=PRIMARY, offset=0.0):
+    return Fault(FaultSpec("oracle", kind, 0, 0, feed, offset), 0)
 
 
 class TestPriceProcess:
@@ -90,14 +94,14 @@ class TestFaults:
         sched, hub = make_hub()
         hub.start()
         sched.run_until(5000)
-        hub.inject_fault(PRIMARY, "stuck", 5000)
+        hub.inject_fault(oracle_fault("stuck"), 5000)
         sched.run_until(125_000)
         assert hub.feeds[PRIMARY].last.t == 5000
         assert hub.feeds[SECONDARY].last.t == 125_000
 
     def test_spoofed_reports_offset_price(self):
         sched, hub = make_hub(noise=0.0)
-        hub.inject_fault(PRIMARY, "spoofed", 0, offset_fraction=0.05)
+        hub.inject_fault(oracle_fault("spoofed", offset=0.05), 0)
         hub.step(1000)
         true = hub.true_price
         assert hub.feeds[PRIMARY].last.price == round(true * 1.05)
@@ -106,17 +110,18 @@ class TestFaults:
     def test_restore_clears_fault_within_next_step(self):
         sched, hub = make_hub()
         hub.start()
-        hub.inject_fault(PRIMARY, "stuck", 0)
+        fault = oracle_fault("stuck")
+        hub.inject_fault(fault, 0)
         sched.run_until(60_000)
         assert hub.detect(60_000, 10_000, 0.005) == "stale"
-        hub.restore(PRIMARY, 60_000)
+        hub.restore(fault, 60_000)
         sched.run_until(61_000)
         assert hub.detect(61_000, 10_000, 0.005) is None
 
     def test_unknown_feed_rejected(self):
         sched, hub = make_hub()
         with pytest.raises(UnknownFeed):
-            hub.inject_fault("tertiary", "stuck", 0)
+            hub.inject_fault(oracle_fault("stuck", feed="tertiary"), 0)
 
 
 def test_no_false_positives_over_long_healthy_run():
@@ -137,9 +142,10 @@ def test_published_prices_pure_function_of_seed_and_faults():
     def run(seed):
         sched, hub = make_hub(seed=seed, regimes=[Regime(0, 1e-4)])
         hub.start()
-        hub.inject_fault(SECONDARY, "spoofed", 0, offset_fraction=0.01)
+        fault = oracle_fault("spoofed", feed=SECONDARY, offset=0.01)
+        hub.inject_fault(fault, 0)
         sched.run_until(30_000)
-        hub.restore(SECONDARY, 30_000)
+        hub.restore(fault, 30_000)
         sched.run_until(60_000)
         return [(f.last.t, f.last.price) for f in hub.feeds.values()]
 

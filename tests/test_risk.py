@@ -9,47 +9,52 @@ from ozsim.agents.risk import (
     AdmissionGate,
     RiskAgent,
 )
-from ozsim.config import RiskSpec, ScenarioConfig
+from ozsim.config import Fault, FaultSpec, RiskSpec, ScenarioConfig
 from ozsim.ledger import Ledger
 from ozsim.oracle import PRIMARY, SECONDARY
 from ozsim.sim import EventLog, Scheduler
 from ozsim.units import to_micro
+
+STUCK_PRIMARY = FaultSpec("oracle", "stuck", 0, 0, PRIMARY)
+MISREPORT = FaultSpec("vault", "misreport", 0, 0, magnitude=0.005)
 
 
 class TestOracleChecks:
     def test_stuck_primary_detected_at_threshold_with_switch_and_halt(self, world_factory):
         w = world_factory()
         w.run_to(5_000)
-        w.oracle.inject_fault(PRIMARY, "stuck", 5_000)
+        w.oracle.inject_fault(Fault(STUCK_PRIMARY, 5_000), 5_000)
         w.run_to(14_999)
         assert w.risk.oracle_alert is None
         w.run_to(15_500)  # staleness hits 10 s at 15_000; cycle runs at 15_500
         alert = w.risk.oracle_alert
         assert alert is not None and alert.kind == ORACLE_STALE
         assert alert.raised_at == 15_500
-        assert w.oracle.active_feed == SECONDARY
+        assert w.ledger.reference_feed == SECONDARY
         assert w.ledger.trading_paused
 
     def test_single_alert_per_episode_and_recovery_switches_back(self, world_factory):
         w = world_factory()
         w.run_to(5_000)
-        w.oracle.inject_fault(PRIMARY, "stuck", 5_000)
+        fault = Fault(STUCK_PRIMARY, 5_000)
+        w.oracle.inject_fault(fault, 5_000)
         w.run_to(60_000)
         stale_alerts = [a for a in w.risk.alerts if a.kind == ORACLE_STALE]
         assert len(stale_alerts) == 1
-        w.oracle.restore(PRIMARY, 60_000)
+        w.oracle.restore(fault, 60_000)
         w.run_to(62_000)
         assert stale_alerts[0].cleared_at is not None
-        assert w.oracle.active_feed == PRIMARY
+        assert w.ledger.reference_feed == PRIMARY
 
     def test_breaker_lifts_after_cooldown_and_trading_resumes(self, world_factory):
         w = world_factory()
         w.run_to(5_000)
-        w.oracle.inject_fault(PRIMARY, "stuck", 5_000, )
+        fault = Fault(STUCK_PRIMARY, 5_000)
+        w.oracle.inject_fault(fault, 5_000)
         w.run_to(20_000)
         assert w.ledger.trading_paused
         trip_t = w.ledger.breaker_tripped_at
-        w.oracle.restore(PRIMARY, 20_000)
+        w.oracle.restore(fault, 20_000)
         w.run_to(trip_t + 300_000)
         assert not w.ledger.trading_paused
 
@@ -61,7 +66,7 @@ class TestReserveChecks:
     def test_shortfall_detected_within_one_cycle_and_mints_blocked(self, world_factory):
         w = world_factory(genesis_balances=self.FULL)
         w.run_to(30_000)
-        w.vault.inject_misreport(0.005, 30_000)
+        w.vault.inject_misreport(Fault(MISREPORT, 30_000), 30_000)
         w.run_to(59_000)
         assert not w.risk.issuance_frozen  # attestation not yet revealing
         # attestation at 60 s submits, lands in the 61 s block, cycle at 61.5 s
@@ -79,13 +84,14 @@ class TestReserveChecks:
     def test_clear_without_coverage_stays_frozen_until_covered(self, world_factory):
         w = world_factory(genesis_balances=self.FULL)
         w.run_to(30_000)
-        w.vault.inject_misreport(0.005, 30_000)
+        fault = Fault(MISREPORT, 30_000)
+        w.vault.inject_misreport(fault, 30_000)
         w.run_to(62_000)
         assert w.risk.issuance_frozen
         w.risk.request_clear(62_000)
         w.run_to(80_000)
         assert w.risk.issuance_frozen  # acknowledged, but reserve still short
-        w.vault.restore(80_000)
+        w.vault.restore(fault, 80_000)
         w.run_to(122_000)  # attestation at 120 s covers; standing clear applies
         assert not w.risk.issuance_frozen
         assert not w.ledger.issuance_paused
@@ -93,10 +99,11 @@ class TestReserveChecks:
     def test_coverage_without_clear_stays_frozen(self, world_factory):
         w = world_factory(genesis_balances=self.FULL)
         w.run_to(30_000)
-        w.vault.inject_misreport(0.005, 30_000)
+        fault = Fault(MISREPORT, 30_000)
+        w.vault.inject_misreport(fault, 30_000)
         w.run_to(62_000)
         assert w.risk.issuance_frozen
-        w.vault.restore(62_000)
+        w.vault.restore(fault, 62_000)
         w.run_to(180_000)  # several covering attestations later
         assert w.ledger.attested_reserve == to_micro(1000)
         assert w.risk.issuance_frozen  # no operator clear yet
@@ -107,7 +114,7 @@ class TestReserveChecks:
     def test_burns_still_allowed_while_frozen(self, world_factory):
         w = world_factory(genesis_balances=self.FULL)
         w.run_to(30_000)
-        w.vault.inject_misreport(0.005, 30_000)
+        w.vault.inject_misreport(Fault(MISREPORT, 30_000), 30_000)
         w.run_to(62_000)
         assert w.risk.issuance_frozen
         assert w.ledger.execute_burn("whale-free", to_micro(1)).accepted

@@ -1,6 +1,6 @@
 import pytest
 
-from ozsim.config import ScenarioConfig
+from ozsim.config import Fault, FaultSpec, ScenarioConfig
 from ozsim.sim import EventLog, Scheduler
 from ozsim.units import to_micro
 from ozsim.vault import InsufficientUnlocked, UncoveredWithdrawal, Vault
@@ -11,6 +11,10 @@ def make_vault(total_oz=1000, submit=None):
     config = ScenarioConfig("vault", 1, 1, vault_initial_oz=total_oz)
     vault = Vault(sched, EventLog(), config, submit_attestation=submit)
     return sched, vault
+
+
+def misreport(fraction):
+    return Fault(FaultSpec("vault", "misreport", 0, 0, magnitude=fraction), 0)
 
 
 def attesting_vault(total_oz=1000):
@@ -51,14 +55,15 @@ class TestAttestations:
 
     def test_misreport_shaves_half_percent(self):
         vault, submitted = attesting_vault(1000)
-        vault.inject_misreport(0.005, 0)
+        vault.inject_misreport(misreport(0.005), 0)
         vault.issue_attestation(60_000)
         assert submitted == [to_micro(995)]
 
     def test_restore_reports_full_amount_again(self):
         vault, submitted = attesting_vault(1000)
-        vault.inject_misreport(0.005, 0)
-        vault.restore(60_000)
+        fault = misreport(0.005)
+        vault.inject_misreport(fault, 0)
+        vault.restore(fault, 60_000)
         vault.issue_attestation(120_000)
         assert submitted == [to_micro(1000)]
 
