@@ -63,7 +63,6 @@ class IssuanceAgent:
         vault: Vault,
         rng: RngStream,
         is_approved: Callable[[str], bool],
-        is_frozen: Callable[[], bool],
         config: IssuanceSpec,
     ):
         self.sched = sched
@@ -72,7 +71,6 @@ class IssuanceAgent:
         self.vault = vault
         self.rng = rng
         self.is_approved = is_approved
-        self.is_frozen = is_frozen
         self.config = config
 
     def _processing_delay(self) -> int:
@@ -92,14 +90,14 @@ class IssuanceAgent:
         if not self.is_approved(user):
             done(WorkflowReport(ISSUE, user, COMPLIANCE_BLOCKED, requested_at, requested_at))
             return
-        if self.is_frozen():
+        if self.ledger.issuance_paused:
             done(WorkflowReport(ISSUE, user, ISSUANCE_FROZEN, requested_at, requested_at))
             return
         delay = self._processing_delay()
 
         def after_processing() -> None:
             now = self.sched.now()
-            if self.is_frozen():
+            if self.ledger.issuance_paused:
                 done(WorkflowReport(ISSUE, user, ISSUANCE_FROZEN, requested_at, now, delay))
                 return
             headroom = self.ledger.attested_reserve + self.ledger.epsilon - self.ledger.total_supply

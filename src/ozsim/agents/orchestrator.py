@@ -21,7 +21,7 @@ from ..sim import EventLog, RngStream, Scheduler
 from ..units import to_micro
 from .compliance import APPROVED, ComplianceAgent, MANUAL_REVIEW, UserProfile
 from .issuance import COMPLETED, ISSUE, REDEEM, IssuanceAgent, WorkflowReport
-from .risk import RiskAgent
+from .risk import PLATFORM_ADDRESSES, RiskAgent
 
 ONBOARD = "onboard"
 BUY = "buy"
@@ -68,7 +68,6 @@ class Orchestrator:
         self.config = config
         self.on_report = on_report
         self.users: dict[str, UserState] = {}
-        self.platform_addresses: set[str] = set()
         self._maker_contexts: dict[int, _OrderFlow] = {}  # resting order id -> its flow
         # Resting order ids in the order their expiries were scheduled.  Every
         # expiry has the same delay and priority, so they fire in that order
@@ -80,12 +79,8 @@ class Orchestrator:
 
     # -- registry -----------------------------------------------------------
 
-    def register_platform(self, address: str) -> None:
-        """Platform actors (market maker, cold storage) bypass onboarding."""
-        self.platform_addresses.add(address)
-
     def is_approved(self, address: str) -> bool:
-        if address in self.platform_addresses:
+        if address in PLATFORM_ADDRESSES:  # they bypass onboarding
             return True
         state = self.users.get(address)
         return state is not None and state.approved

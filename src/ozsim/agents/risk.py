@@ -29,8 +29,9 @@ RESERVE_SHORTFALL = "ReserveShortfall"
 CONCENTRATION = "Concentration"
 GOVERNANCE_OOB = "GovernanceOutOfBounds"
 
-# Platform accounts whose holdings are operational, not a holder's stake.
-EXEMPT_ADDRESSES = frozenset({MM_ADDRESS, COLD_ADDRESS, ISSUER_ADDRESS})
+# Platform accounts: they need no onboarding, and their holdings are
+# operational, not a holder's stake.
+PLATFORM_ADDRESSES = frozenset({MM_ADDRESS, COLD_ADDRESS, ISSUER_ADDRESS})
 
 
 @dataclass
@@ -100,13 +101,9 @@ class RiskAgent:
         self.gate = AdmissionGate(self.config.service_rate, self.config.admission_headroom)
         self.alerts: list[RiskAlert] = []
         self.oracle_alert: Optional[RiskAlert] = None
-        self.shortfall_alert: Optional[RiskAlert] = None
+        self.shortfall_alert: Optional[RiskAlert] = None  # the latest; the freeze is the ledger's
         self.clear_requested = False
         self.flagged_holders: dict[str, RiskAlert] = {}
-
-    @property
-    def issuance_frozen(self) -> bool:
-        return self.shortfall_alert is not None and self.shortfall_alert.cleared_at is None
 
     def start(self) -> None:
         self.sched.every(
@@ -171,7 +168,7 @@ class RiskAgent:
         supply = self.ledger.total_supply
         covered = supply <= self.ledger.attested_reserve + self.ledger.epsilon
         if not covered:
-            if self.issuance_frozen:
+            if self.ledger.issuance_paused:
                 return None
             self.ledger.set_issuance_paused(True, now, "risk")
             alert = self._raise(
@@ -189,7 +186,7 @@ class RiskAgent:
                 fault.onset_ms = self.ledger.reserve_attested_at
             return alert
         # Unfreezing needs both a covering attestation and an explicit clear.
-        if self.issuance_frozen and self.clear_requested:
+        if self.ledger.issuance_paused and self.clear_requested:
             self.shortfall_alert.cleared_at = now
             self.clear_requested = False
             self.ledger.set_issuance_paused(False, now, "risk")
@@ -210,7 +207,7 @@ class RiskAgent:
         raised = []
         limit = self.config.concentration_limit
         for addr in candidates:
-            if addr in EXEMPT_ADDRESSES:
+            if addr in PLATFORM_ADDRESSES:
                 continue
             share = self.ledger.balance(addr) / supply
             flagged = self.flagged_holders.get(addr)

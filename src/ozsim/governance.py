@@ -56,13 +56,13 @@ class ParamProposal:
     votes_for: int = 0
     votes_against: int = 0
     voters: set[str] = field(default_factory=set)
-    state: str = "open"  # open | passed | rejected | executed | expired
+    state: str = "open"  # open | passed | rejected | executed
 
 
-def tally(proposal: ParamProposal, total_power: int) -> str:
+def tally(proposal: ParamProposal) -> str:
     """Close the vote: passed iff quorum met and strict majority in favour."""
     turnout = proposal.votes_for + proposal.votes_against
-    if turnout < QUORUM_FRACTION * total_power:
+    if turnout < QUORUM_FRACTION * proposal.total_power:
         return "rejected"
     if proposal.votes_for > proposal.votes_against:
         return "passed"
@@ -159,7 +159,7 @@ class Governance:
     def execute_param(self, proposal: ParamProposal, now: int) -> str:
         """Attempt execution; returns executed | too_early | rejected_*."""
         if proposal.state == "open":
-            proposal.state = tally(proposal, proposal.total_power)
+            proposal.state = tally(proposal)
             self._log("param_tally", {"id": proposal.proposal_id, "state": proposal.state}, t=now)
         if proposal.state == "rejected":
             return "rejected"

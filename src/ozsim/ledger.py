@@ -158,8 +158,10 @@ class Ledger:
     breaker pauses trading (transfers, mints, burns, and exchange matching)
     when the latest posted reference price differs from any price posted
     inside the rolling window by more than the configured threshold; the
-    window keeps its running minimum and maximum, which decide the trip.  The
-    halt lifts automatically after the cooldown or earlier via governance.
+    window keeps its running minimum and maximum, which decide the trip.  A
+    halt lifts after the cooldown in force when it tripped, or earlier via
+    governance.  An issuance freeze is `issuance_paused`, which the risk agent
+    sets and clears.
     """
 
     def __init__(self, sched: Scheduler, log: EventLog, config: ScenarioConfig):
@@ -174,7 +176,6 @@ class Ledger:
         self.attested_reserve = 0
         self.issuance_paused = False
         self.trading_paused = False
-        self.breaker_tripped_at: Optional[int] = None
         self.reference_feed = "primary"
         # one {tripped_at, reason[, lifted_at, lift_reason]} row per halt
         self.halts: list[dict] = []
@@ -421,8 +422,8 @@ class Ledger:
         if self.trading_paused:
             return
         self.trading_paused = True
-        self.breaker_tripped_at = now
-        self.halts.append({"tripped_at": now, "reason": reason})
+        halt = {"tripped_at": now, "reason": reason}
+        self.halts.append(halt)
         cooldown = int(self.params.get("breaker_cooldown_ms"))
         self.log.append(
             now,
@@ -430,17 +431,12 @@ class Ledger:
             "breaker_tripped",
             {"reason": reason, "source": source, "cooldown_ms": cooldown},
         )
-        self.sched.schedule(
-            now + cooldown, 0, "breaker_lift", lambda: self.breaker_auto_lift(self.sched.now())
-        )
 
-    def breaker_auto_lift(self, now: int) -> bool:
-        if not self.trading_paused or self.breaker_tripped_at is None:
-            return False
-        if now - self.breaker_tripped_at < int(self.params.get("breaker_cooldown_ms")):
-            return False
-        self._lift(now, "cooldown expired")
-        return True
+        def lift() -> None:  # this halt's own lift, after the cooldown in force at its trip
+            if "lifted_at" not in halt:  # else governance lifted it first
+                self._lift(self.sched.now(), "cooldown expired")
+
+        self.sched.schedule(now + cooldown, 0, "breaker_lift", lift)
 
     def governance_unpause(self, now: int) -> None:
         if self.trading_paused:
@@ -448,10 +444,8 @@ class Ledger:
 
     def _lift(self, now: int, reason: str) -> None:
         self.trading_paused = False
-        self.breaker_tripped_at = None
         self._price_window.clear()
-        if self.halts and "lifted_at" not in self.halts[-1]:
-            self.halts[-1].update(lifted_at=now, lift_reason=reason)
+        self.halts[-1].update(lifted_at=now, lift_reason=reason)
         self.log.append(now, "ledger", "breaker_lifted", {"reason": reason})
         # A listener registered while these run lands in the new list and so
         # waits for the next lift.

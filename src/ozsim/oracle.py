@@ -95,7 +95,7 @@ class OracleHub:
         sched: Scheduler,
         log: EventLog,
         config: ScenarioConfig,
-        ledger: Optional[Ledger] = None,  # where prices are posted and the reference is kept
+        ledger: Ledger,  # where prices are posted and the reference is kept
     ):
         self.sched = sched
         self.log = log
@@ -133,8 +133,7 @@ class OracleHub:
         if fault is not None and fault.spec.kind == "spoofed":
             price = round(price * (1.0 + fault.spec.magnitude))
         state.last = PriceSample(price, now)
-        if self.ledger is not None:
-            self.ledger.submit_tx("post_price", feed, (feed, price))
+        self.ledger.submit_tx("post_price", feed, (feed, price))
 
     # -- observation ----------------------------------------------------------
 

@@ -13,8 +13,8 @@ from pathlib import Path
 from typing import Optional
 
 from .agents.compliance import ComplianceAgent
-from .agents.issuance import ISSUER_ADDRESS, IssuanceAgent
-from .agents.market_maker import COLD_ADDRESS, MM_ADDRESS, MarketMakerAgent
+from .agents.issuance import IssuanceAgent
+from .agents.market_maker import MM_ADDRESS, MarketMakerAgent
 from .agents.orchestrator import BUY, ISSUE, Orchestrator, REDEEM, SELL, UserState
 from .agents.risk import RiskAgent
 from .config import AgentUpdate, ClearRiskAlert, Fault, ParamProposal, ScenarioConfig, Unpause
@@ -124,13 +124,8 @@ class Simulation:
         self.log.append(0, "harness", "scenario_start", {"config": config.to_dict(), "version": 1})
 
         self.ledger = Ledger(self.sched, self.log, config)
-        self.vault = Vault(
-            self.sched, self.log, config,
-            submit_attestation=lambda amount, auditor: self.ledger.submit_tx(
-                "set_reserve", auditor, (amount, auditor)
-            ),
-        )
-        self.oracle = OracleHub(self.sched, self.log, config, ledger=self.ledger)
+        self.vault = Vault(self.sched, self.log, config, self.ledger)
+        self.oracle = OracleHub(self.sched, self.log, config, self.ledger)
         self.exchange = Exchange(
             self.sched, self.log, self.ledger, config,
             onboarded=lambda addr: self.orchestrator.is_approved(addr),
@@ -146,7 +141,6 @@ class Simulation:
             self.sched, self.log, self.ledger, self.vault,
             self.sched.fork_rng("agent-delays"),
             is_approved=lambda addr: self.orchestrator.is_approved(addr),
-            is_frozen=lambda: self.risk.issuance_frozen,
             config=config.issuance,
         )
         self.mm = MarketMakerAgent(
@@ -164,8 +158,6 @@ class Simulation:
             self.sched.fork_rng("orchestration"), self.oracle, config,
             on_report=self._on_report,
         )
-        for addr in (MM_ADDRESS, COLD_ADDRESS, ISSUER_ADDRESS):
-            self.orchestrator.register_platform(addr)
         self.faults = [Fault(spec, spec.start_ms) for spec in config.fault_schedule]
         self._genesis()
 

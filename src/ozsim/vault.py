@@ -10,10 +10,10 @@ misreports overlap, the one injected last acts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .config import Fault, ScenarioConfig
-from .ledger import AUDITOR
+from .ledger import AUDITOR, Ledger
 from .sim import EventLog, Scheduler
 from .units import to_micro
 
@@ -34,19 +34,13 @@ class Ticket:
 
 
 class Vault:
-    def __init__(
-        self,
-        sched: Scheduler,
-        log: EventLog,
-        config: ScenarioConfig,
-        submit_attestation: Optional[Callable[[int, str], None]] = None,
-    ):
+    def __init__(self, sched: Scheduler, log: EventLog, config: ScenarioConfig, ledger: Ledger):
         self.sched = sched
         self.log = log
         self.config = config
+        self.ledger = ledger  # where attestations are submitted
         self.total_micro_oz = to_micro(config.vault_initial_oz)
         self.locked_micro_oz = 0
-        self.submit_attestation = submit_attestation
         self.faults: list[Fault] = []  # the active misreports; the last acts
         self.last_fault: Optional[Fault] = None  # the one acting at the latest attestation
 
@@ -108,8 +102,7 @@ class Vault:
         self.log.append(
             now, "vault", "attestation", {"reported": reported, "actual": self.total_micro_oz}
         )
-        if self.submit_attestation is not None:
-            self.submit_attestation(reported, AUDITOR)
+        self.ledger.submit_tx("set_reserve", AUDITOR, (reported, AUDITOR))
 
     def start(self) -> None:
         interval = self.config.attestation_interval_ms

@@ -5,8 +5,8 @@ import io
 import pytest
 
 from ozsim.agents.compliance import ComplianceAgent
-from ozsim.agents.issuance import ISSUER_ADDRESS, IssuanceAgent
-from ozsim.agents.market_maker import COLD_ADDRESS, MM_ADDRESS, MarketMakerAgent
+from ozsim.agents.issuance import IssuanceAgent
+from ozsim.agents.market_maker import MM_ADDRESS, MarketMakerAgent
 from ozsim.agents.orchestrator import Orchestrator
 from ozsim.agents.risk import RiskAgent
 from ozsim.config import (
@@ -44,13 +44,8 @@ class World:
             vault_initial_oz=vault_oz, price=PriceSpec(regimes=regimes or [Regime(0, 0.0)]),
         )
         self.ledger = Ledger(self.sched, self.log, config)
-        self.vault = Vault(
-            self.sched, self.log, config,
-            submit_attestation=lambda amount, auditor: self.ledger.submit_tx(
-                "set_reserve", auditor, (amount, auditor)
-            ),
-        )
-        self.oracle = OracleHub(self.sched, self.log, config, ledger=self.ledger)
+        self.vault = Vault(self.sched, self.log, config, self.ledger)
+        self.oracle = OracleHub(self.sched, self.log, config, self.ledger)
         self.exchange = Exchange(
             self.sched, self.log, self.ledger, config, onboarded=self._onboarded
         )
@@ -62,7 +57,6 @@ class World:
             self.sched, self.log, self.ledger, self.vault,
             self.sched.fork_rng("agent-delays"),
             is_approved=self._approved,
-            is_frozen=lambda: self.risk.issuance_frozen,
             config=IssuanceSpec(processing_sigma_ms=issuance_sigma),
         )
         self.mm = MarketMakerAgent(
@@ -75,8 +69,6 @@ class World:
             self.sched.fork_rng("orchestration"), self.oracle, config,
             on_report=self._collect_report,
         )
-        for addr in (MM_ADDRESS, COLD_ADDRESS, ISSUER_ADDRESS):
-            self.orchestrator.register_platform(addr)
         self.reports = []
 
         # genesis: attested reserve equals vault holdings; MM endowment minted

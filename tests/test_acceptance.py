@@ -190,12 +190,12 @@ def test_criterion_09_concentration():
         return sched, ledger, risk
 
     spread_out = {f"r{i}": 150 for i in range(5)}
-    _, _, risk = world({"whale": 250, **spread_out})
+    _, ledger, risk = world({"whale": 250, **spread_out})
     for t in (500, 1500, 2500, 3500):
         risk.cycle(t)
     flags = [a for a in risk.alerts if a.kind == "Concentration"]
     one_flag = len(flags) == 1 and flags[0].detail["address"] == "whale"
-    flag_only = not risk.issuance_frozen
+    flag_only = not ledger.issuance_paused
 
     _, _, risk2 = world({"edge": 200, **{f"r{i}": 160 for i in range(5)}})
     for t in (500, 1500):
@@ -248,26 +248,24 @@ def _abstract(ledger, risk):
     return (
         ledger.issuance_paused,
         ledger.trading_paused,
-        risk.issuance_frozen,
         risk.clear_requested,
         ledger.attested_reserve >= ledger.total_supply,
     )
 
 
 def _materialize(state):
-    issuance_paused, trading_paused, frozen, clear_requested, covering = state
+    issuance_paused, trading_paused, clear_requested, covering = state
     sched = Scheduler(seed=11)
     log = EventLog()
     ledger = Ledger(sched, log, CONFIG)
     ledger.total_supply = to_micro(1000)
     ledger.balances["holder"] = to_micro(1000)
     ledger.attested_reserve = to_micro(1000) if covering else to_micro(995)
-    ledger.issuance_paused = issuance_paused
     if trading_paused:
-        ledger.trading_paused = True
-        ledger.breaker_tripped_at = 0
+        ledger.trip_breaker(0, "fault")
     risk = RiskAgent(sched, log, ledger, RiskSpec())
-    if frozen:
+    if issuance_paused:
+        ledger.set_issuance_paused(True, 0, "risk")
         risk.shortfall_alert = RiskAlert("ReserveShortfall", 0, "frozen")
     risk.clear_requested = clear_requested
     return sched, ledger, risk
@@ -287,7 +285,7 @@ def _apply(state, event):
     elif event == "clear":
         risk.request_clear(now)
     elif event == "cooldown_expiry":
-        ledger.breaker_auto_lift(now)
+        sched.run_until(now)
     elif event == "breaker_trip":
         ledger.trip_breaker(now, "fault")
     elif event == "governance_unpause":
@@ -297,12 +295,12 @@ def _apply(state, event):
 
 
 def _operational(state):
-    issuance_paused, trading_paused, frozen, _, covering = state
-    return not issuance_paused and not trading_paused and not frozen and covering
+    issuance_paused, trading_paused, _, covering = state
+    return not issuance_paused and not trading_paused and covering
 
 
 def test_criterion_11_liveness_no_deadlock():
-    initial = (False, False, False, False, True)
+    initial = (False, False, False, True)
     reachable = {initial}
     frontier = [initial]
     transitions: dict[tuple, set[tuple]] = {}

@@ -1,11 +1,13 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from ozsim.config import ScenarioConfig
+from ozsim.config import ScenarioConfig, load_config_file
 from ozsim.governance import SIGNERS, AlreadyExecuted, Governance, NotASigner, tally
 from ozsim.ledger import Ledger, PriceWindow
+from ozsim.runner import run_scenario
 from ozsim.sim import EventLog, Scheduler
 from ozsim.units import to_micro
 
@@ -70,17 +72,17 @@ class TestTally:
     def test_no_quorum_rejected(self):
         _, _, gov = make_gov()
         prop = self._proposal(gov, 250, 100)
-        assert tally(prop, 1000) == "rejected"
+        assert tally(prop) == "rejected"
 
     def test_quorum_and_majority_passes(self):
         _, _, gov = make_gov()
         prop = self._proposal(gov, 300, 150)
-        assert tally(prop, 1000) == "passed"
+        assert tally(prop) == "passed"
 
     def test_tie_is_rejected(self):
         _, _, gov = make_gov()
         prop = self._proposal(gov, 200, 200)
-        assert tally(prop, 1000) == "rejected"
+        assert tally(prop) == "rejected"
 
 
 class TestExecuteParam:
@@ -168,3 +170,18 @@ def test_governance_actions_are_logged():
     assert "param_proposed" in kinds
     assert "param_vote" in kinds
     assert "param_executed" in kinds
+
+
+def test_vote_raising_the_cooldown_during_a_halt_does_not_strand_it():
+    # The halt trips at 610.5 s under a 300 s cooldown; the vote for 600 s
+    # executes at 700 s.  The halt lifts on the cooldown it tripped with.
+    result = run_scenario(
+        load_config_file(Path(__file__).parent / "scenarios" / "halt-cooldown-vote.json")
+    )
+    ledger = result.sim.ledger
+    assert ledger.params.get("breaker_cooldown_ms") == 600_000
+    assert result.summary["halts"] == [{
+        "tripped_at": 610_500, "reason": "oracle stale",
+        "lifted_at": 910_500, "lift_reason": "cooldown expired",
+    }]
+    assert not ledger.trading_paused

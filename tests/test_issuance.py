@@ -9,12 +9,13 @@ from ozsim.agents.issuance import (
     ISSUANCE_FROZEN,
     REVERTED,
 )
+from ozsim.agents.orchestrator import UserState
 from ozsim.units import to_micro
 
 
 def approve(w, *names):
     for name in names:
-        w.orchestrator.register_platform(name)
+        w.orchestrator.users[name] = UserState(approved=True)
 
 
 class TestIssue:

@@ -216,7 +216,7 @@ class TestBreaker:
         window = [(0, to_micro(2400.0)), (300_000, to_micro(2450.0))]
         assert ledger.evaluate_breaker(PriceWindow(window), 300_000) is True
         assert ledger.trading_paused
-        assert ledger.breaker_tripped_at == 300_000
+        assert ledger.halts == [{"tripped_at": 300_000, "reason": "price swing"}]
 
     def test_constant_price_never_trips(self):
         sched, ledger = make_ledger()
@@ -231,13 +231,43 @@ class TestBreaker:
         assert ledger.trading_paused
         sched.run_until(400_000)
         assert not ledger.trading_paused
-        assert ledger.breaker_tripped_at is None
+        assert ledger.halts == [{"tripped_at": 100_000, "reason": "test",
+                                 "lifted_at": 400_000, "lift_reason": "cooldown expired"}]
 
-    def test_manual_lift_attempt_before_cooldown_is_noop(self):
+    def test_no_lift_before_cooldown(self):
         sched, ledger = make_ledger()
         ledger.trip_breaker(0, "test")
-        assert ledger.breaker_auto_lift(299_000) is False
+        sched.run_until(299_999)
         assert ledger.trading_paused
+        assert "lifted_at" not in ledger.halts[-1]
+
+    def test_halt_lifts_after_the_cooldown_in_force_at_its_trip(self):
+        sched, ledger = make_ledger()
+        sched.run_until(100_000)
+        ledger.trip_breaker(100_000, "test")
+        sched.run_until(200_000)
+        ledger.set_param("breaker_cooldown_ms", 600_000, 200_000, "governance")
+        sched.run_until(400_000)
+        assert not ledger.trading_paused
+        assert ledger.halts[-1]["lifted_at"] == 400_000
+        assert ledger.halts[-1]["lift_reason"] == "cooldown expired"
+
+    def test_earlier_halts_lift_event_leaves_a_later_halt_paused(self):
+        sched, ledger = make_ledger()
+        sched.run_until(100_000)
+        ledger.trip_breaker(100_000, "first")
+        sched.run_until(200_000)
+        ledger.governance_unpause(200_000)
+        sched.run_until(300_000)
+        ledger.trip_breaker(300_000, "second")
+        sched.run_until(599_999)  # past the first halt's lift at 400 s
+        assert ledger.trading_paused
+        assert "lifted_at" not in ledger.halts[-1]
+        sched.run_until(600_000)
+        assert not ledger.trading_paused
+        assert [(h["lifted_at"], h["lift_reason"]) for h in ledger.halts] == [
+            (200_000, "governance unpause"), (600_000, "cooldown expired"),
+        ]
 
     def test_governance_unpause_lifts_early(self):
         sched, ledger = make_ledger()

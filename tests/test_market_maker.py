@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from ozsim.agents.market_maker import (
     RETURN_SHIFT, MarketMakerAgent, _scaled, _stdev_from_sums,
 )
+from ozsim.agents.orchestrator import UserState
 from ozsim.config import MMSpec
 from ozsim.exchange import ASK, BID
 from ozsim.units import MICRO, to_micro
@@ -118,7 +119,7 @@ class TestQuoting:
 class TestInventoryControl:
     def test_fills_move_inventory(self, world_factory):
         w = world_factory()
-        w.orchestrator.register_platform("taker")
+        w.orchestrator.users["taker"] = UserState(approved=True)
         w.run_to(5_000)
         w.mm.quote_cycle(5_000)
         w.exchange.place("taker", BID, to_micro(40), kind="market")
@@ -138,8 +139,7 @@ class TestInventoryControl:
         w = world_factory()
         w.run_to(5_000)
         # the MM really holds the excess on-chain: move 50 from a filled sale
-        w.orchestrator.register_platform("seller")
-        w.ledger.genesis_balance = None  # no-op guard
+        w.orchestrator.users["seller"] = UserState(approved=True)
         w.mm.quote_cycle(5_000)
         w.exchange.place("seller", ASK, to_micro(50), kind="market")
         assert w.mm.inventory == to_micro(50)

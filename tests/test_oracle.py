@@ -4,6 +4,7 @@ import statistics
 import pytest
 
 from ozsim.config import Fault, FaultSpec, PriceSpec, ScenarioConfig
+from ozsim.ledger import Ledger
 from ozsim.oracle import (
     PRIMARY,
     SECONDARY,
@@ -25,7 +26,8 @@ def make_hub(seed=11, noise=0.0002, regimes=None):
         "oracle", seed, 1, secondary_noise_frac=noise,
         price=PriceSpec(regimes=regimes or [Regime(0, 0.0)]),
     )
-    return sched, OracleHub(sched, EventLog(), config)
+    log = EventLog()
+    return sched, OracleHub(sched, log, config, Ledger(sched, log, config))
 
 
 def oracle_fault(kind, feed=PRIMARY, offset=0.0):

@@ -53,7 +53,7 @@ class TestOracleChecks:
         w.oracle.inject_fault(fault, 5_000)
         w.run_to(20_000)
         assert w.ledger.trading_paused
-        trip_t = w.ledger.breaker_tripped_at
+        trip_t = w.ledger.halts[-1]["tripped_at"]
         w.oracle.restore(fault, 20_000)
         w.run_to(trip_t + 300_000)
         assert not w.ledger.trading_paused
@@ -68,12 +68,11 @@ class TestReserveChecks:
         w.run_to(30_000)
         w.vault.inject_misreport(Fault(MISREPORT, 30_000), 30_000)
         w.run_to(59_000)
-        assert not w.risk.issuance_frozen  # attestation not yet revealing
+        assert not w.ledger.issuance_paused  # attestation not yet revealing
         # attestation at 60 s submits, lands in the 61 s block, cycle at 61.5 s
         w.run_to(61_499)
-        assert not w.risk.issuance_frozen
+        assert not w.ledger.issuance_paused
         w.run_to(61_500)
-        assert w.risk.issuance_frozen
         assert w.ledger.issuance_paused
         alert = w.risk.shortfall_alert
         assert alert.kind == RESERVE_SHORTFALL
@@ -87,13 +86,12 @@ class TestReserveChecks:
         fault = Fault(MISREPORT, 30_000)
         w.vault.inject_misreport(fault, 30_000)
         w.run_to(62_000)
-        assert w.risk.issuance_frozen
+        assert w.ledger.issuance_paused
         w.risk.request_clear(62_000)
         w.run_to(80_000)
-        assert w.risk.issuance_frozen  # acknowledged, but reserve still short
+        assert w.ledger.issuance_paused  # acknowledged, but reserve still short
         w.vault.restore(fault, 80_000)
         w.run_to(122_000)  # attestation at 120 s covers; standing clear applies
-        assert not w.risk.issuance_frozen
         assert not w.ledger.issuance_paused
 
     def test_coverage_without_clear_stays_frozen(self, world_factory):
@@ -102,21 +100,21 @@ class TestReserveChecks:
         fault = Fault(MISREPORT, 30_000)
         w.vault.inject_misreport(fault, 30_000)
         w.run_to(62_000)
-        assert w.risk.issuance_frozen
+        assert w.ledger.issuance_paused
         w.vault.restore(fault, 62_000)
         w.run_to(180_000)  # several covering attestations later
         assert w.ledger.attested_reserve == to_micro(1000)
-        assert w.risk.issuance_frozen  # no operator clear yet
+        assert w.ledger.issuance_paused  # no operator clear yet
         w.risk.request_clear(180_000)
         w.run_to(181_000)
-        assert not w.risk.issuance_frozen
+        assert not w.ledger.issuance_paused
 
     def test_burns_still_allowed_while_frozen(self, world_factory):
         w = world_factory(genesis_balances=self.FULL)
         w.run_to(30_000)
         w.vault.inject_misreport(Fault(MISREPORT, 30_000), 30_000)
         w.run_to(62_000)
-        assert w.risk.issuance_frozen
+        assert w.ledger.issuance_paused
         assert w.ledger.execute_burn("whale-free", to_micro(1)).accepted
 
 

@@ -1,15 +1,17 @@
 import pytest
 
 from ozsim.config import Fault, FaultSpec, ScenarioConfig
+from ozsim.ledger import AUDITOR, Ledger
 from ozsim.sim import EventLog, Scheduler
 from ozsim.units import to_micro
 from ozsim.vault import InsufficientUnlocked, UncoveredWithdrawal, Vault
 
 
-def make_vault(total_oz=1000, submit=None):
+def make_vault(total_oz=1000):
     sched = Scheduler(seed=1)
+    log = EventLog()
     config = ScenarioConfig("vault", 1, 1, vault_initial_oz=total_oz)
-    vault = Vault(sched, EventLog(), config, submit_attestation=submit)
+    vault = Vault(sched, log, config, Ledger(sched, log, config))
     return sched, vault
 
 
@@ -17,11 +19,11 @@ def misreport(fraction):
     return Fault(FaultSpec("vault", "misreport", 0, 0, magnitude=fraction), 0)
 
 
-def attesting_vault(total_oz=1000):
-    """A vault and the list of amounts it submits on-chain."""
-    submitted = []
-    _, vault = make_vault(total_oz, submit=lambda amount, auditor: submitted.append(amount))
-    return vault, submitted
+def submitted(vault):
+    """The amounts of the attestation txs the vault has queued on its ledger."""
+    txs = vault.ledger._queue
+    assert all((tx.kind, tx.sender, tx.args[1]) == ("set_reserve", AUDITOR, AUDITOR) for tx in txs)
+    return [tx.args[0] for tx in txs]
 
 
 class TestLocks:
@@ -49,30 +51,29 @@ class TestLocks:
 
 class TestAttestations:
     def test_reports_total_when_healthy(self):
-        vault, submitted = attesting_vault(1000)
+        _, vault = make_vault(1000)
         vault.issue_attestation(0)
-        assert submitted == [to_micro(1000)]
+        assert submitted(vault) == [to_micro(1000)]
 
     def test_misreport_shaves_half_percent(self):
-        vault, submitted = attesting_vault(1000)
+        _, vault = make_vault(1000)
         vault.inject_misreport(misreport(0.005), 0)
         vault.issue_attestation(60_000)
-        assert submitted == [to_micro(995)]
+        assert submitted(vault) == [to_micro(995)]
 
     def test_restore_reports_full_amount_again(self):
-        vault, submitted = attesting_vault(1000)
+        _, vault = make_vault(1000)
         fault = misreport(0.005)
         vault.inject_misreport(fault, 0)
         vault.restore(fault, 60_000)
         vault.issue_attestation(120_000)
-        assert submitted == [to_micro(1000)]
+        assert submitted(vault) == [to_micro(1000)]
 
     def test_periodic_attestations_submit_on_chain(self):
-        submitted = []
-        sched, vault = make_vault(1000, submit=lambda amt, who: submitted.append(amt))
+        sched, vault = make_vault(1000)
         vault.start()
         sched.run_until(180_000)
-        assert submitted == [to_micro(1000)] * 3
+        assert submitted(vault) == [to_micro(1000)] * 3
 
 
 class TestPhysicalMoves:
@@ -85,10 +86,10 @@ class TestPhysicalMoves:
         assert vault.locked_micro_oz == 0
 
     def test_deposit_raises_future_attestations(self):
-        vault, submitted = attesting_vault(1000)
+        _, vault = make_vault(1000)
         vault.deposit_physical(to_micro(100))
         vault.issue_attestation(0)
-        assert submitted == [to_micro(1100)]
+        assert submitted(vault) == [to_micro(1100)]
 
     def test_withdrawal_without_ticket_rejected(self):
         _, vault = make_vault(1000)
