@@ -27,16 +27,6 @@ COLD_ADDRESS = "mm-cold"
 QUOTE_MS = 1000  # one quote cycle a second: vol_window_s counts cycles
 
 
-# Every finite float times 2**RETURN_SHIFT is an exact integer.
-RETURN_SHIFT = 1074
-
-
-def _scaled(x: float) -> int:
-    """x * 2**RETURN_SHIFT exactly; NaN and infinities raise."""
-    m, d = x.as_integer_ratio()  # d is a power of two no larger than 2**1074
-    return m << (RETURN_SHIFT + 1 - d.bit_length())
-
-
 def _stdev_from_sums(n: int, sx: int, sxx: int, shift: int) -> float:
     """Sample standard deviation of n >= 2 values v / 2**shift, given the
     integers sx = sum(v) and sxx = sum(v*v).
@@ -81,15 +71,23 @@ class MarketMakerAgent:
         self.issuance = issuance
         self.config = config
         self.baseline = to_micro(config.baseline_oz)
+        self.level_qty = to_micro(config.level_qty_oz)
+        self.inv_limit = to_micro(config.inv_limit_oz)
+        self.rebalance_threshold = to_micro(config.rebalance_threshold_oz)
         self.inventory = 0  # micro-OZ relative to the neutral baseline
         self.current_half_spread = self.config.base_half_spread
-        # Volatility window: the last vol_window_s one-second log returns,
-        # scaled by _scaled(), None for a pair holding a nonpositive mid.
+        # Volatility window: the last vol_window_s one-second log returns, each
+        # exactly as (m, k) for m / 2**k, None for a pair holding a nonpositive
+        # mid.  The exact sums sit at the smallest scale 2**_shift that holds
+        # every return the window has held.  A log return of positive floats is
+        # 0 or at least 2**-53 in magnitude, so the scale stays at 105 bits or
+        # less, where 1074 would hold any float.
         self._last_mid: float | None = None
-        self._returns: deque[int | None] = deque(maxlen=self.config.vol_window_s)
+        self._returns: deque[tuple[int, int] | None] = deque(maxlen=self.config.vol_window_s)
+        self._shift = 0
         self._n = 0  # returns in the window that are not None
-        self._sv = 0  # their sum
-        self._svv = 0  # the sum of their squares
+        self._sv = 0  # the sum of their m << (_shift - k)
+        self._svv = 0  # the sum of the squares of those
         self._live_orders: list[int] = []
         self._rebalance_pending = False
         self.rebalance_events: list[tuple[int, int]] = []  # (t, inventory before)
@@ -119,12 +117,21 @@ class MarketMakerAgent:
         if len(returns) == returns.maxlen:
             old = returns.popleft()
             if old is not None:
+                m, k = old
+                v = m << (self._shift - k)
                 self._n -= 1
-                self._sv -= old
-                self._svv -= old * old
+                self._sv -= v
+                self._svv -= v * v
         if prev > 0 and mid > 0:
-            v = _scaled(math.log(mid / prev))
-            returns.append(v)
+            m, d = math.log(mid / prev).as_integer_ratio()  # d is a power of two
+            k = d.bit_length() - 1
+            shift = self._shift
+            if k > shift:  # rescale the sums to hold the new return exactly
+                self._sv <<= k - shift
+                self._svv <<= 2 * (k - shift)
+                self._shift = shift = k
+            v = m << (shift - k)
+            returns.append((m, k))
             self._n += 1
             self._sv += v
             self._svv += v * v
@@ -136,7 +143,7 @@ class MarketMakerAgent:
         reference mid over the volatility window, computed exactly."""
         if self._n < 2:
             return 0.0
-        return _stdev_from_sums(self._n, self._sv, self._svv, RETURN_SHIFT)
+        return _stdev_from_sums(self._n, self._sv, self._svv, self._shift)
 
     def half_spread(self, sigma: float) -> float:
         cfg = self.config
@@ -159,10 +166,8 @@ class MarketMakerAgent:
         h = self.half_spread(sigma)
         self.current_half_spread = h
         cfg = self.config
-        anchor = ref * (1.0 - cfg.skew_coeff * self.inventory / to_micro(cfg.inv_limit_oz))
-
-        level_qty = to_micro(cfg.level_qty_oz)
-        inv_limit = to_micro(cfg.inv_limit_oz)
+        level_qty, inv_limit = self.level_qty, self.inv_limit
+        anchor = ref * (1.0 - cfg.skew_coeff * self.inventory / inv_limit)
         quote_bids = self.inventory < inv_limit
         quote_asks = self.inventory > -inv_limit
         # Levels sit at their configured offsets but never inside the current
@@ -170,7 +175,7 @@ class MarketMakerAgent:
         ask_budget = self.holdings  # never quote more than the agent holds
         quotes: list[tuple[str, int, int]] = []
         for offset in cfg.ladder_offsets:
-            distance = max(h, offset)
+            distance = offset if offset > h else h  # max(h, offset), without a call
             if quote_bids:
                 quotes.append((BID, level_qty, round(anchor * (1.0 - distance))))
             if quote_asks and ask_budget >= level_qty:
@@ -181,9 +186,7 @@ class MarketMakerAgent:
     # -- rebalancing -------------------------------------------------------------
 
     def maybe_rebalance(self, now: int) -> None:
-        cfg = self.config
-        threshold = to_micro(cfg.rebalance_threshold_oz)
-        if self._rebalance_pending or abs(self.inventory) < threshold:
+        if self._rebalance_pending or abs(self.inventory) < self.rebalance_threshold:
             return
         self.rebalance_events.append((now, self.inventory))
         if self.inventory > 0:

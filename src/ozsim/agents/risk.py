@@ -19,7 +19,6 @@ from ..config import RiskSpec
 from ..ledger import Ledger
 from ..oracle import OracleHub, PRIMARY, SECONDARY
 from ..sim import EventLog, Scheduler
-from ..vault import Vault
 from .issuance import ISSUER_ADDRESS
 from .market_maker import COLD_ADDRESS, MM_ADDRESS
 
@@ -88,13 +87,11 @@ class RiskAgent:
         config: RiskSpec,
         oracle: Optional[OracleHub] = None,
         governance=None,
-        vault: Optional[Vault] = None,
     ):
         self.sched = sched
         self.log = log
         self.ledger = ledger
         self.oracle = oracle
-        self.vault = vault
         self.config = config
         self.governance = governance
         self.agent_versions: dict[str, str] = {}
@@ -168,23 +165,22 @@ class RiskAgent:
         supply = self.ledger.total_supply
         covered = supply <= self.ledger.attested_reserve + self.ledger.epsilon
         if not covered:
-            if self.ledger.issuance_paused:
-                return None
-            self.ledger.set_issuance_paused(True, now, "risk")
-            alert = self._raise(
-                RESERVE_SHORTFALL,
-                now,
-                "issuance frozen; operators alerted",
-                {"supply": supply, "reserve": self.ledger.attested_reserve},
-            )
-            self.shortfall_alert = alert
-            self.clear_requested = False
-            # credit the misreport behind the attestation, observable once applied
-            fault = self.vault.last_fault if self.vault is not None else None
+            raised = None
+            if not self.ledger.issuance_paused:  # one alert per freeze
+                self.ledger.set_issuance_paused(True, now, "risk")
+                raised = self.shortfall_alert = self._raise(
+                    RESERVE_SHORTFALL,
+                    now,
+                    "issuance frozen; operators alerted",
+                    {"supply": supply, "reserve": self.ledger.attested_reserve},
+                )
+                self.clear_requested = False
+            # credit the misreport behind the applied attestation to the open freeze
+            fault = self.ledger.reserve_fault
             if fault is not None and fault.alert is None:
-                fault.alert, fault.detected_ms = alert, now
+                fault.alert, fault.detected_ms = self.shortfall_alert, now
                 fault.onset_ms = self.ledger.reserve_attested_at
-            return alert
+            return raised
         # Unfreezing needs both a covering attestation and an explicit clear.
         if self.ledger.issuance_paused and self.clear_requested:
             self.shortfall_alert.cleared_at = now

@@ -95,14 +95,6 @@ class OrderBook:
             return None
         return (bid + ask) / 2
 
-    def crosses(self, side: str, price: int) -> bool:
-        """Whether a limit order at price on side reaches the opposite best."""
-        if side == BID:
-            prices = self._prices[ASK]
-            return bool(prices) and price >= prices[0]
-        prices = self._prices[BID]
-        return bool(prices) and price <= prices[-1]
-
     def resting_qty(self, side: str) -> int:
         return sum(
             order.remaining for q in self._levels[side].values() for order in q
@@ -121,14 +113,10 @@ class OrderBook:
         order = self._orders.pop(order_id, None)
         if order is None:
             return False
-        level = self._levels[order.side].get(order.price)
-        if level is not None:
-            try:
-                level.remove(order)
-            except ValueError:
-                pass
-            if not level:
-                self._drop_level(order.side, order.price)
+        level = self._levels[order.side][order.price]  # every resting order is in its level
+        level.remove(order)
+        if not level:
+            self._drop_level(order.side, order.price)
         return True
 
     def _drop_level(self, side: str, price: int) -> None:
@@ -282,25 +270,59 @@ class Exchange:
         down to order ids, queue positions and trades, with the halt and the
         onboarding checked once, before anything changes.  A quote that
         reaches the opposite best price goes through place() and may trade;
-        any other would match nothing, so it rests directly.  Returns the ids
-        of the quotes left resting.
+        any other would match nothing, so it rests directly, reusing the
+        Order object, and the one-order level, that a cancel freed when there
+        is one.  Returns the ids of the quotes left resting.
         """
         self._check_gate(owner)
         book = self.book
+        orders, levels, prices = book._orders, book._levels, book._prices
+        freed: list[deque[Order]] = []  # one level each, holding one cancelled order
         for order_id in cancel_ids:
-            book.cancel(order_id)
+            order = orders.pop(order_id, None)
+            if order is None:
+                continue
+            side_levels, price = levels[order.side], order.price
+            level = side_levels[price]
+            if len(level) == 1:  # the order is alone at its price: drop its level
+                del side_levels[price]
+                side_prices = prices[order.side]
+                side_prices.pop(bisect_left(side_prices, price))
+                freed.append(level)
+            else:
+                level.remove(order)
+                freed.append(deque((order,)))
         now = self.sched.now()
+        bids, asks = prices[BID], prices[ASK]
         resting: list[int] = []
         for side, qty, price in quotes:
-            if book.crosses(side, price):
+            if qty <= 0 or price <= 0:
+                raise ValueError("a quote needs a positive qty and price")
+            if (asks and price >= asks[0]) if side == BID else (bids and price <= bids[-1]):
                 order_id = self.place(owner, side, qty, price)[1]
                 if order_id is not None:
                     resting.append(order_id)
                 continue
-            order = Order(self._next_order_id, owner, side, price, qty, now, "limit")
+            order_id = self._next_order_id
             self._next_order_id += 1
-            book.rest(order)
-            resting.append(order.order_id)
+            if freed:
+                fresh = freed.pop()
+                order = fresh[0]
+                order.order_id, order.owner, order.kind = order_id, owner, "limit"
+                order.side, order.price, order.qty, order.remaining = side, price, qty, qty
+                order.placed_at = now
+            else:
+                order = Order(order_id, owner, side, price, qty, now, "limit")
+                fresh = deque((order,))
+            side_levels = levels[side]
+            level = side_levels.get(price)
+            if level is None:  # the quote opens its level
+                side_levels[price] = fresh
+                insort(prices[side], price)
+            else:
+                level.append(order)
+            orders[order_id] = order
+            resting.append(order_id)
         return resting
 
     def _check_gate(self, owner: str) -> None:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 from .sim import EventLog, Scheduler
 
 if TYPE_CHECKING:  # config imports this module
-    from .config import ScenarioConfig
+    from .config import Fault, ScenarioConfig
 
 REVERT_RESERVE_CEILING = "Reserve ceiling exceeded"
 REVERT_ISSUANCE_PAUSED = "issuance paused"
@@ -180,6 +180,7 @@ class Ledger:
         # one {tripped_at, reason[, lifted_at, lift_reason]} row per halt
         self.halts: list[dict] = []
         self.reserve_attested_at = 0  # when the latest attestation was applied
+        self.reserve_fault: Optional[Fault] = None  # the misreport that shaped it
 
         self.height = 0
         self.accepted_tx_count = 0
@@ -300,7 +301,7 @@ class Ledger:
         "burn": "execute_burn",  # (owner, amount)
         "transfer": "execute_transfer",  # (src, dst, amount)
         "post_price": "execute_post_price",  # (feed, price)
-        "set_reserve": "set_attested_reserve",  # (amount, auditor)
+        "set_reserve": "set_attested_reserve",  # (amount, auditor, fault)
         "governance": "execute_governance",  # (apply,)
     }
 
@@ -357,12 +358,15 @@ class Ledger:
         self._touched[dst] = None
         return ACCEPTED
 
-    def set_attested_reserve(self, amount: int, auditor: str) -> Receipt:
+    def set_attested_reserve(
+        self, amount: int, auditor: str, fault: Optional[Fault] = None
+    ) -> Receipt:
         if auditor != AUDITOR:
             return Receipt(False, REVERT_UNAUTHORIZED)
         now = self.sched.now()
         self.attested_reserve = amount
         self.reserve_attested_at = now
+        self.reserve_fault = fault
         self.log.append(
             now,
             "ledger",

@@ -134,7 +134,7 @@ class Simulation:
         self.governance = Governance(self.ledger)
         self.risk = RiskAgent(
             self.sched, self.log, self.ledger, config.risk,
-            oracle=self.oracle, governance=self.governance, vault=self.vault,
+            oracle=self.oracle, governance=self.governance,
         )
         self.governance.alert_sink = self.risk.governance_alert
         self.issuance = IssuanceAgent(

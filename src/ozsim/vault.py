@@ -10,7 +10,6 @@ misreports overlap, the one injected last acts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .config import Fault, ScenarioConfig
 from .ledger import AUDITOR, Ledger
@@ -42,7 +41,6 @@ class Vault:
         self.total_micro_oz = to_micro(config.vault_initial_oz)
         self.locked_micro_oz = 0
         self.faults: list[Fault] = []  # the active misreports; the last acts
-        self.last_fault: Optional[Fault] = None  # the one acting at the latest attestation
 
     @property
     def unlocked_micro_oz(self) -> int:
@@ -95,14 +93,15 @@ class Vault:
     # -- attestations -----------------------------------------------------------
 
     def issue_attestation(self, now: int) -> None:
-        fault = self.last_fault = self.faults[-1] if self.faults else None
+        fault = self.faults[-1] if self.faults else None
         reported = self.total_micro_oz
         if fault is not None:
             reported = round(self.total_micro_oz * (1.0 - fault.spec.magnitude))
         self.log.append(
             now, "vault", "attestation", {"reported": reported, "actual": self.total_micro_oz}
         )
-        self.ledger.submit_tx("set_reserve", AUDITOR, (reported, AUDITOR))
+        # the fault travels with the tx, to be credited once the ledger applies it
+        self.ledger.submit_tx("set_reserve", AUDITOR, (reported, AUDITOR, fault))
 
     def start(self) -> None:
         interval = self.config.attestation_interval_ms

@@ -51,7 +51,7 @@ class World:
         )
         self.compliance = ComplianceAgent(ComplianceSpec())
         self.risk = RiskAgent(
-            self.sched, self.log, self.ledger, RiskSpec(), oracle=self.oracle, vault=self.vault
+            self.sched, self.log, self.ledger, RiskSpec(), oracle=self.oracle
         )
         self.issuance = IssuanceAgent(
             self.sched, self.log, self.ledger, self.vault,

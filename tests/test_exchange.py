@@ -201,6 +201,27 @@ def book_state(ex):
     return state, sorted(book._orders)
 
 
+def book_invariants(book):
+    """The book's structure: _orders and the levels hold the same orders, each
+    once, under its own id, side and price; no level is empty; each side's
+    sorted prices are its level keys."""
+    placed = {}  # id(order) -> order, over every level
+    for side in (BID, ASK):
+        levels = book._levels[side]
+        assert book._prices[side] == sorted(levels)
+        for price, level in levels.items():
+            assert level, (side, price)
+            for order in level:
+                assert (order.side, order.price, order.kind) == (side, price, "limit")
+                assert 0 < order.remaining <= order.qty
+                assert id(order) not in placed, order.order_id
+                placed[id(order)] = order
+    stored = {id(order) for order in book._orders.values()}
+    assert len(stored) == len(book._orders)  # no order under two ids
+    assert stored == set(placed)
+    assert all(order.order_id == order_id for order_id, order in book._orders.items())
+
+
 _sides = st.sampled_from([BID, ASK])
 _qtys = st.integers(1, 10)
 _prices = st.integers(95, 105)  # a narrow grid, so quotes collide and cross
@@ -246,6 +267,7 @@ class TestRequote:
         # the maker's orders (some filled or cancelled since) and ids that
         # may rest, may be gone or were never used
         cancel_ids = mm_ids + stale
+        first_new_id = a._next_order_id
         got = a.requote("mm", cancel_ids, quotes)
         for order_id in cancel_ids:
             b.cancel(order_id)
@@ -260,6 +282,18 @@ class TestRequote:
         assert a._next_order_id == b._next_order_id
         assert a._flows == b._flows
         assert a.log.digest() == b.log.digest()
+        book_invariants(a.book)
+        assert not [i for i in cancel_ids if i < first_new_id and i in a.book._orders]
+
+    def test_user_order_behind_a_cancelled_quote_stays_ahead_of_its_replacement(self):
+        _, _, ex = make_exchange()
+        _, mm_id = ex.place("mm", BID, to_micro(1), px(2399.0))
+        _, user_id = ex.place("alice", BID, to_micro(2), px(2399.0))
+        [new_id] = ex.requote("mm", [mm_id], [(BID, to_micro(3), px(2399.0))])
+        level = ex.book._levels[BID][px(2399.0)]
+        assert [(o.order_id, o.owner, o.remaining) for o in level] == [
+            (user_id, "alice", to_micro(2)), (new_id, "mm", to_micro(3))]
+        book_invariants(ex.book)
 
     def test_quote_inside_the_spread_rests_without_matching(self):
         _, _, ex = make_exchange()

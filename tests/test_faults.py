@@ -82,13 +82,21 @@ def test_overlapping_misreports_each_last_their_span():
     second = FaultSpec("vault", "misreport", 400_000, 200_000, magnitude=0.01)
     sim, attestations = run_recording(
         dataclasses.replace(config, fault_schedule=[first, second]), "set_reserve")
-    reported = {t: (amount, held) for t, (amount, _), held in attestations}
-    for t in (420_000, 480_000, 540_000, 600_000):  # the second acts until its own end
-        amount, held = reported[t]
-        assert amount == round(held * 0.99), t
-    assert reported[360_000][0] == round(reported[360_000][1] * 0.995)
-    assert reported[660_000][0] == reported[660_000][1]
+    reported = {t: (amount, held, fault) for t, (amount, _, fault), held in attestations}
+    first_fault, second_fault = sim.faults
+    # each attestation carries the misreport that shaped it; the second acts
+    # until its own end
+    shaped_by = {360_000: (0.995, first_fault), 660_000: (1.0, None),
+                 **{t: (0.99, second_fault) for t in (420_000, 480_000, 540_000, 600_000)}}
+    for t, (share, expected) in shaped_by.items():
+        amount, held, fault = reported[t]
+        assert (amount, fault) == (round(held * share), expected), t
     first_row, second_row = sim.fault_findings()
+    [alert] = sim.risk.alerts
+    assert (alert.raised_at, alert.cleared_at) == (361_500, 700_500)
     assert (first_row["detected_ms"], first_row["latency_ms"]) == (361_500, 500)
-    # raised under the first; the second's onset stays its injection time
-    assert (second_row["action"], second_row["onset_ms"]) == ("undetected", 400_000)
+    # the second's first short attestation lands at 421 s, under the freeze the
+    # first raised: the open alert is credited to it, from that landing
+    assert second_fault.alert is alert
+    assert (second_row["kind"], second_row["onset_ms"], second_row["detected_ms"],
+            second_row["latency_ms"]) == ("ReserveShortfall", 421_000, 421_500, 500)

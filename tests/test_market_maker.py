@@ -11,9 +11,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ozsim.agents.market_maker import (
-    RETURN_SHIFT, MarketMakerAgent, _scaled, _stdev_from_sums,
-)
+from ozsim.agents.market_maker import MarketMakerAgent, _stdev_from_sums
 from ozsim.agents.orchestrator import UserState
 from ozsim.config import MMSpec
 from ozsim.exchange import ASK, BID
@@ -175,9 +173,11 @@ class TestInventoryControl:
 def _exact_stdev(xs: list[float]) -> float:
     """Sample standard deviation of finite floats, equal bit for bit to
     `statistics.stdev` of Python 3.11 and later (the first to round it
-    correctly)."""
-    vs = list(map(_scaled, xs))
-    return _stdev_from_sums(len(vs), sum(vs), sum(map(mul, vs, vs)), RETURN_SHIFT)
+    correctly), at the smallest scale 2**shift that makes every value an integer."""
+    ratios = [x.as_integer_ratio() for x in xs]  # denominators are powers of two
+    shift = max(d.bit_length() - 1 for _, d in ratios)
+    vs = [m << (shift + 1 - d.bit_length()) for m, d in ratios]
+    return _stdev_from_sums(len(vs), sum(vs), sum(map(mul, vs, vs)), shift)
 
 
 def _bits(x: float) -> bytes:
@@ -236,14 +236,16 @@ class TestExactStdev:
         assert _bits(w.mm.realized_sigma()) == _bits(statistics.stdev(returns))
 
     @needs_exact_reference
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(window=st.integers(1, 6),
            mids=st.lists(st.one_of(st.floats(2000.0, 2800.0),
-                                   st.sampled_from([0.0, -1.0, 2400.0])), max_size=20))
+                                   # returns of 0, of about 2**-40 and of -698 to
+                                   # +698: the sums' scale grows inside a window
+                                   st.sampled_from([0.0, -1.0, 2400.0, 2400.0 * (1 + 2**-40),
+                                                    1e-300])),
+                         max_size=20))
     def test_property_rolling_sigma_matches_recomputed_window(self, window, mids):
-        exchange = SimpleNamespace(on_trade=lambda callback: None)
-        mm = MarketMakerAgent(None, None, None, exchange, None, None,
-                              MMSpec(vol_window_s=window))
+        mm = _bare_agent(window)
         history = deque(maxlen=window + 1)
         for mid in mids:
             mm.observe_mid(mid)
@@ -251,3 +253,22 @@ class TestExactStdev:
             returns = [math.log(b / a) for a, b in pairwise(history) if a > 0 and b > 0]
             expected = statistics.stdev(returns) if len(returns) >= 2 else 0.0
             assert _bits(mm.realized_sigma()) == _bits(expected)
+
+    def test_sums_stay_small_over_realistic_mids(self):
+        # 121 mids fill the 60-return window and evict from it.  Their returns
+        # need 71 bits of scale and _svv 129 bits; at a scale that holds any
+        # float, 2**1074, _svv takes over 2,000
+        mm = _bare_agent(60)
+        rng = random.Random(5)
+        mid = 2400.0
+        for _ in range(121):
+            mm.observe_mid(mid)
+            mid = round(mid * math.exp(rng.gauss(0.0, 1e-3)), 6)
+        assert mm._n == 60
+        assert mm._svv.bit_length() < 256
+
+
+def _bare_agent(window: int) -> MarketMakerAgent:
+    """A market maker with nothing attached, for observe_mid and realized_sigma."""
+    exchange = SimpleNamespace(on_trade=lambda callback: None)
+    return MarketMakerAgent(None, None, None, exchange, None, None, MMSpec(vol_window_s=window))
