@@ -9,10 +9,9 @@ a halt are retried in later batches so settlement eventually completes.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .config import ScenarioConfig
 from .ledger import Ledger, Receipt
@@ -61,8 +60,7 @@ class Order:
         self.remaining = qty
 
 
-@dataclass(frozen=True)
-class Trade:
+class Trade(NamedTuple):
     maker_id: int
     taker_id: int
     maker_owner: str
@@ -182,21 +180,26 @@ class OrderBook:
             return self._depth(BID, prices[-1] * (1 - pct), math.inf)
         return self._depth(ASK, -math.inf, prices[0] * (1 + pct))
 
-    def depth_within(self, pct: float) -> tuple[int, int]:
-        """Resting micro-OZ within pct of mid on each side: (bid, ask)."""
-        mid = self.mid()
+    def depth_within(self, pct: float, mid: Optional[float] = None) -> tuple[int, int]:
+        """Resting micro-OZ within pct of mid on each side: (bid, ask).
+
+        mid defaults to the book's; a caller that has just read the best prices
+        passes it in.
+        """
         if mid is None:
-            raise EmptySide("depth_within needs both sides quoted")
+            mid = self.mid()
+            if mid is None:
+                raise EmptySide("depth_within needs both sides quoted")
         return (self._depth(BID, mid * (1 - pct), math.inf),
                 self._depth(ASK, -math.inf, mid * (1 + pct)))
 
     def _depth(self, side: str, lo: float, hi: float) -> int:
         """Resting micro-OZ on side at prices from lo to hi."""
+        prices, levels = self._prices[side], self._levels[side]
         depth = 0
-        for price, level in self._levels[side].items():
-            if lo <= price <= hi:
-                for order in level:
-                    depth += order.remaining
+        for price in prices[bisect_left(prices, lo):bisect_right(prices, hi)]:
+            for order in levels[price]:
+                depth += order.remaining
         return depth
 
 

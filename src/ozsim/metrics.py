@@ -156,15 +156,15 @@ class MetricsCollector:
         elapsed = now - self._last_sample_ms or self.sample_interval_ms
         mid = spread = bid_depth = ask_depth = None
         book = self.exchange.book
-        raw_mid = book.mid()
-        if raw_mid is not None:
+        best_bid, best_ask = book.best_bid(), book.best_ask()
+        if best_bid is not None and best_ask is not None:
+            raw_mid = (best_bid + best_ask) / 2  # book.mid(), without reading the book again
             mid = raw_mid / MICRO
-            spread = (book.best_ask() - book.best_bid()) / raw_mid
-            b, a = book.depth_within(0.01)
+            spread = (best_ask - best_bid) / raw_mid
+            b, a = book.depth_within(0.01, raw_mid)
             bid_depth = from_micro(b)
             ask_depth = from_micro(a)
         else:
-            best_bid, best_ask = book.best_bid(), book.best_ask()
             if best_bid is not None:
                 bid_depth = from_micro(book.depth_one_sided("bid"))
             if best_ask is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .sim import EventLog, RngStream, Scheduler
 from .units import to_micro
@@ -30,8 +30,7 @@ class UnknownFeed(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class PriceSample:
+class PriceSample(NamedTuple):
     price: int  # micro-USD per OZ
     t: int
 

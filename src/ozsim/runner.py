@@ -177,8 +177,9 @@ class Simulation:
             self.ledger.genesis_mint(MM_ADDRESS, endowment)
         if config.prefund_oz > 0 and config.user_count > 0:
             amount = to_micro(config.prefund_oz)
-            for user_id in self.loadgen.user_ids():
-                self.vault.lock_for_issuance(amount)
+            users = self.loadgen.user_ids()
+            self.vault.lock_for_issuance(amount * len(users))  # one lock covers every allocation
+            for user_id in users:
                 self.ledger.genesis_mint(user_id, amount)
 
     # -- schedule construction ---------------------------------------------------

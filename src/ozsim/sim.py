@@ -165,14 +165,40 @@ class Scheduler:
         return fired
 
 
-# json.dumps(record, sort_keys=True, separators=(",", ":")) builds an encoder
-# per call; this one, built once with the same settings, writes the same bytes.
-_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# json.dumps(..., sort_keys=True, separators=(",", ":")) and JSONEncoder.encode
+# build a new C encoder, a markers dict and a float formatter on every call, and
+# a run writes one record per on-chain fact: that set-up was most of a record's
+# cost.  This C encoder is built once, with the settings of that call (sorted
+# keys, ASCII escaping, NaN allowed, circular-reference check), so it writes the
+# same bytes.  CPython ships _json on every supported version; there is no
+# pure-Python fallback.
+if json.encoder.c_make_encoder is None:
+    raise ImportError("ozsim needs the C JSON encoder of CPython's _json module")
+_MARKERS: dict[int, Any] = {}
+_ENCODE = json.encoder.c_make_encoder(
+    _MARKERS,
+    json.JSONEncoder().default,  # raises TypeError for what JSON cannot encode
+    json.encoder.encode_basestring_ascii,
+    None,  # indent
+    ":",
+    ",",
+    True,  # sort_keys
+    False,  # skipkeys
+    True,  # allow_nan
+)
+
+
+def _encode(value: Any) -> str:
+    try:
+        return "".join(_ENCODE(value, 0))
+    except BaseException:
+        _MARKERS.clear()  # a raise leaves the ids of the containers it was inside
+        raise
 
 
 def canonical_line(record: dict) -> str:
     """Canonical one-line JSON encoding used for log bytes and digests."""
-    return _CANONICAL_ENCODER.encode(record)
+    return _encode(record)
 
 
 class EventLog:
@@ -188,17 +214,31 @@ class EventLog:
         self.count = 0
         self._last_t = 0
         self._hash = hashlib.sha256()
+        self._middles: dict[tuple[str, str], str] = {}  # (source, kind) -> encoded text
 
     def append(self, t: int, source: str, kind: str, detail: dict[str, Any]) -> None:
         if t < self._last_t:
             raise ValueError(f"event log time went backwards: {t} < {self._last_t}")
+        # canonical_line's bytes: the keys sort as detail < kind < source < t, and
+        # only detail and t vary between records of one (source, kind)
+        middle = self._middles.get((source, kind))
+        if middle is None:
+            middle = self._middles[source, kind] = (
+                f',"kind":{_encode(kind)},"source":{_encode(source)},"t":'
+            )
+        text = _encode(detail)
+        tail = f"{middle}{_encode(t)}}}\n"
         self._last_t = t
-        line = canonical_line({"t": t, "source": source, "kind": kind, "detail": detail})
-        self._hash.update(line.encode())
-        self._hash.update(b"\n")
+        # The line is '{"detail":' + text + tail.  Hashed in parts, a block's text
+        # (168 KB at 8k users) is copied once, to bytes; joining the line first
+        # would copy it once more.  Only a log that writes its lines joins them.
+        update = self._hash.update
+        update(b'{"detail":')
+        update(text.encode())
+        update(tail.encode())
         self.count += 1
         if self._stream is not None:
-            self._stream.write(line + "\n")
+            self._stream.write(f'{{"detail":{text}{tail}')
 
     def digest(self) -> str:
         return self._hash.hexdigest()

@@ -23,6 +23,8 @@ from ozsim.profiles import CorpusSpec, generate_profiles
 from ozsim.replay import diff_logs, replay
 from ozsim.runner import Simulation, run_scenario
 from ozsim.sim import EventLog, RngStream
+from ozsim.units import to_micro
+from ozsim.vault import InsufficientUnlocked
 
 MINIMAL = {"name": "t", "seed": 1, "duration_ms": 10_000}
 
@@ -328,6 +330,31 @@ class TestRunner:
         for key in ("halts", "fault_findings"):
             assert plain.summary[key] == written.summary[key] == summary[key]
         assert all(ok for _, ok, _ in run_checks(plain)), run_checks(plain)
+
+
+class TestGenesis:
+    """The log and the vault right after a Simulation is built, before any event fires."""
+
+    # one genesis_reserve, the market maker's and every user's genesis_mint
+    @pytest.mark.parametrize("duration_ms, digest", [
+        (8_000, "15b57d49dcd0314640d0a815aacdead400ed6cedbeac49acd545da574ccf8b21"),
+        (60_000, "40f05f5ebffbb46386b6777202598c502c05dfb3503e70d0be4041482d4438a1"),
+    ])
+    def test_eight_thousand_user_genesis_log_and_locks_are_pinned(self, duration_ms, digest):
+        base = dataclasses.replace(load_bundled("bench-base"), duration_ms=duration_ms)
+        config = bench_config(base, 8_000)
+        sim = Simulation(config)
+        assert (sim.log.count, sim.log.digest()) == (8_003, digest)
+        assert sim.vault.locked_micro_oz == (
+            8_000 * to_micro(config.prefund_oz) + to_micro(config.mm.baseline_oz))
+
+    def test_prefund_that_fills_the_vault_exactly_is_locked(self):
+        sim = Simulation(tiny_config(user_count=10, prefund_oz=70.0, vault_initial_oz=1_000.0))
+        assert sim.vault.locked_micro_oz == sim.vault.total_micro_oz == to_micro(1_000)
+
+    def test_vault_too_small_for_the_prefund_refuses_to_build(self):
+        with pytest.raises(InsufficientUnlocked):
+            Simulation(tiny_config(user_count=10, prefund_oz=70.000001, vault_initial_oz=1_000.0))
 
 
 def no_garbage_config(name):

@@ -1,12 +1,16 @@
 import gc
+import hashlib
 import heapq
 import io
+import json
 from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ozsim.sim import RUN_GEN0_THRESHOLD, EventLog, PastTime, RngStream, Scheduler
+from ozsim.sim import (
+    RUN_GEN0_THRESHOLD, EventLog, PastTime, RngStream, Scheduler, canonical_line,
+)
 
 
 def test_priority_orders_events_at_equal_time():
@@ -306,6 +310,77 @@ def test_event_log_digest_and_bytes_are_stable():
         logs.append(log)
     assert out_a.getvalue() == out_b.getvalue()
     assert logs[0].digest() == logs[1].digest()
+
+
+def reference_line(t, source, kind, detail) -> str:
+    """The canonical form by the standard library's own json.dumps."""
+    record = {"t": t, "source": source, "kind": kind, "detail": detail}
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+# non-ASCII, control and lone-surrogate characters all take the ASCII escapes
+texts = st.text(st.characters(blacklist_categories=()), max_size=6)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.just(-0.0) | texts,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(texts, inner, max_size=4),
+    max_leaves=12,
+)
+details = st.dictionaries(texts, json_values, max_size=5)
+times = st.integers(0, 10**15) | st.floats(-0.0, 1e15)
+# a few repeated (source, kind) pairs and some drawn ones
+names = st.sampled_from(["ledger", "block", "é", "\x1f\n", ""]) | texts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(times, names, names, details), max_size=8))
+def test_property_log_lines_are_the_stdlib_canonical_form(records):
+    records.sort(key=lambda r: r[0])
+    out = io.StringIO()
+    log = EventLog(stream=out)
+    for t, source, kind, detail in records:
+        log.append(t, source, kind, detail)
+        assert canonical_line(
+            {"t": t, "source": source, "kind": kind, "detail": detail}
+        ) == reference_line(t, source, kind, detail)
+    written = out.getvalue()
+    assert written == "".join(reference_line(*r) + "\n" for r in records)
+    assert log.count == len(records)
+    assert log.digest() == hashlib.sha256(written.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("cycle", ["dict", "list"])
+def test_cyclic_detail_raises_and_leaves_the_log_unchanged(cycle):
+    out = io.StringIO()
+    log = EventLog(stream=out)
+    log.append(1, "m", "a", {"x": [1.5]})
+    count, digest, written = log.count, log.digest(), out.getvalue()
+    inner = {"n": 1}
+    detail = {"outer": [inner]}
+    if cycle == "dict":
+        inner["back"] = detail
+    else:
+        detail["outer"].append(detail["outer"])
+    with pytest.raises(ValueError, match="Circular reference"):
+        log.append(2, "m", "b", detail)
+    with pytest.raises(ValueError, match="Circular reference"):
+        canonical_line({"t": 2, "detail": detail})
+    assert (log.count, log.digest(), out.getvalue()) == (count, digest, written)
+    # once the cycle is cut, the same containers encode: a failed encode left no marks
+    inner.pop("back", None)
+    del detail["outer"][1:]
+    log.append(2, "m", "b", detail)
+    assert out.getvalue() == written + reference_line(2, "m", "b", detail) + "\n"
+
+
+def test_unencodable_detail_raises_type_error_and_leaves_the_log_unchanged():
+    log = EventLog()
+    detail = {"ok": [1], "bad": object()}
+    with pytest.raises(TypeError):
+        log.append(0, "m", "a", detail)
+    assert (log.count, log.digest()) == (0, hashlib.sha256().hexdigest())
+    del detail["bad"]
+    log.append(0, "m", "a", detail)
+    assert log.count == 1
 
 
 def test_event_log_rejects_time_regression():
