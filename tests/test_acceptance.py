@@ -384,6 +384,9 @@ def test_criterion_12_governance():
 
 # Pinned at the last intended behaviour change.  On a mismatch the test prints
 # the observed table as a literal: after an intended change, paste it here.
+# "reports" hashes every workflow report of a run, all seven fields, failed
+# ones included: the event log records a workflow only when it fails, and then
+# only its latency.
 GOLDEN = {
     "digests": {
         "baseline-24h": "06440f419bee5877f802c475d73f689efe94dd92c2146a020226d91a34965418",
@@ -425,6 +428,16 @@ GOLDEN = {
             "summary.json": "efee4612928430b69c69e73697b04c45e42c0472310d5d2c42a57158f4a38712",
         },
     },
+    "reports": {
+        "baseline-24h": "a3e93f8abbedfdea3378aa6596e9736837362c33f74b9df4f102efc8f2b9b213",
+        "bench-base": "f67c018a9d905d95c2accde7c3cd11289647d3d6de4c56b60cb82b6f799b3350",
+        "bench-base u1000 10s": "b6ce63a271606dc89e8313ce41a1c39c53325a9891850d632264fe6a7cac8d42",
+        "governance-demo": "500597e4b23c1e2ee96d8f67de940daf17af1ca0b0b9f9bd955790008f148962",
+        "issuance-burst": "3971b93fce9d5ad108cb7544ca7118b5ac75446871dc565cb72f96b6a13a931b",
+        "issuance-latency": "1b4bfd07b8435b2ea951331d6710e1f7ea5f4c2463f9d48a1f676ecba61a3698",
+        "table1-oracle": "6e621a9e15d08d66b2afc8746f26d3d84a031c4fe986ebddfe633b2832cb68db",
+        "table1-vault": "84ca6a01f2952ace32a03cd3b7a1230a1b38c8d847d850b39e3366c4facdc513",
+    },
     "table1-oracle": {
         "fault_findings": [
             {
@@ -463,17 +476,28 @@ GOLDEN = {
 }
 
 
+def reports_hash(sim) -> str:
+    """SHA-256 over every row of a run's workflow reports, one line per row."""
+    import hashlib
+
+    rows = hashlib.sha256()
+    for row in sim.metrics.reports:
+        rows.update(("\t".join(map(str, row)) + "\n").encode())
+    return rows.hexdigest()
+
+
 def test_criterion_13_determinism(tmp_path):
     import dataclasses
     import hashlib
     import pprint
 
     mismatches = []
-    observed: dict = {"digests": {}, "outputs": {}}
+    observed: dict = {"digests": {}, "outputs": {}, "reports": {}}
     for name in bundled_scenario_names():
         first = bundled_run(name)
         second = run_scenario(load_bundled(name), out_dir=tmp_path / name)
         observed["digests"][name] = first.digest
+        observed["reports"][name] = reports_hash(first.sim)
         observed["outputs"][name] = {
             file: hashlib.sha256((tmp_path / name / file).read_bytes()).hexdigest()
             for file in ("metrics.csv", "summary.json")
@@ -484,7 +508,9 @@ def test_criterion_13_determinism(tmp_path):
             observed[name] = {key: first.summary[key] for key in ("halts", "fault_findings")}
     # the `ozsim bench` path: Simulation.execute() without run_scenario
     point = bench_config(dataclasses.replace(load_bundled("bench-base"), duration_ms=10_000), 1000)
-    observed["digests"]["bench-base u1000 10s"] = Simulation(point).execute()
+    sim = Simulation(point)
+    observed["digests"]["bench-base u1000 10s"] = sim.execute()
+    observed["reports"]["bench-base u1000 10s"] = reports_hash(sim)
     config = dataclasses.replace(load_bundled("issuance-burst"), seed=999)
     other_seed = run_scenario(config)
     seeds_differ = other_seed.digest != observed["digests"]["issuance-burst"]
@@ -495,7 +521,8 @@ def test_criterion_13_determinism(tmp_path):
         13, not mismatches and seeds_differ and pinned,
         f"{len(bundled_scenario_names())} bundled scenarios re-run byte-identically; "
         f"a different seed changes the digest: {seeds_differ}; "
-        f"digests, output file hashes and table1 halts/findings match the pinned table: {pinned}"
+        f"digests, output file hashes, report hashes and table1 halts/findings match the "
+        f"pinned table: {pinned}"
         if not mismatches else f"nondeterministic: {mismatches}",
     )
 
