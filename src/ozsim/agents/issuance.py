@@ -5,18 +5,17 @@ pre-check mirroring the on-chain reserve guard, a vault lock, and the mint
 transaction.  Redemptions burn first and release physical metal once the burn
 confirms.  Transactions reverted by a breaker halt are resubmitted when the
 halt lifts, so workflows finish late rather than never.
+
+Each request is one `Workflow` object, which the agent ends with the
+`complete(status)` of whoever built it: the orchestrator or the market maker.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from ..config import IssuanceSpec
-from ..ledger import (
-    Ledger,
-    Receipt,
-    REVERT_TRADING_HALTED,
-)
+from ..ledger import REVERT_TRADING_HALTED, Ledger, Receipt
 from ..sim import EventLog, RngStream, Scheduler
 from ..vault import InsufficientUnlocked, Vault
 
@@ -54,6 +53,35 @@ class WorkflowReport(NamedTuple):
         return self.status == COMPLETED
 
 
+class Workflow:
+    """One issue or redemption as the issuance agent sees it.
+
+    Its builder defines complete(status), which the agent calls once, at the
+    end of every path.  The agent sets agent_ms (its processing delay),
+    submitted_at (the latest submission of the mint or burn) and a mint's
+    vault ticket.  The flow is itself the callback of its one pending stage:
+    the processing delay, the tx receipt, or the lift that resubmits the tx.
+    """
+
+    __slots__ = ("kind", "user", "amount", "agent", "agent_ms", "submitted_at", "ticket")
+
+    def __init__(self, kind: str, user: str, amount: int):
+        self.kind = kind
+        self.user = user
+        self.amount = amount
+        self.agent_ms = 0
+        self.submitted_at: Optional[int] = None
+
+    def processed(self) -> None:
+        self.agent._processed(self)
+
+    def confirmed(self, receipt: Receipt) -> None:
+        self.agent._confirmed(self, receipt)
+
+    def resubmit(self, _t: int) -> None:
+        self.agent._submit(self)
+
+
 class IssuanceAgent:
     def __init__(
         self,
@@ -80,97 +108,65 @@ class IssuanceAgent:
         draw = self.rng.gauss(cfg.processing_mean_ms, cfg.processing_sigma_ms)
         return max(cfg.processing_min_ms, round(draw))
 
-    # -- issuance ---------------------------------------------------------
+    # -- issuance and redemption ---------------------------------------------
 
-    def process_issue(
-        self, user: str, amount: int, done: Callable[[WorkflowReport], None]
-    ) -> None:
+    def process_issue(self, flow: Workflow) -> None:
         """Payment is confirmed instantly upstream; start the mint pipeline."""
-        requested_at = self.sched.now()
-        if not self.is_approved(user):
-            done(WorkflowReport(ISSUE, user, COMPLIANCE_BLOCKED, requested_at, requested_at))
-            return
-        if self.ledger.issuance_paused:
-            done(WorkflowReport(ISSUE, user, ISSUANCE_FROZEN, requested_at, requested_at))
-            return
-        delay = self._processing_delay()
+        if not self.is_approved(flow.user):
+            flow.complete(COMPLIANCE_BLOCKED)
+        elif self.ledger.issuance_paused:
+            flow.complete(ISSUANCE_FROZEN)
+        else:
+            self._process(flow, "issuance_processing")
 
-        def after_processing() -> None:
-            now = self.sched.now()
-            if self.ledger.issuance_paused:
-                done(WorkflowReport(ISSUE, user, ISSUANCE_FROZEN, requested_at, now, delay))
+    def process_redeem(self, flow: Workflow) -> None:
+        if not self.is_approved(flow.user):
+            flow.complete(COMPLIANCE_BLOCKED)
+        elif self.ledger.balance(flow.user) < flow.amount:
+            flow.complete(INSUFFICIENT_BALANCE)
+        else:
+            self._process(flow, "redemption_processing")
+
+    def _process(self, flow: Workflow, event_kind: str) -> None:
+        flow.agent = self
+        flow.agent_ms = self._processing_delay()
+        self.sched.schedule_in(flow.agent_ms, 2, event_kind, flow.processed)
+
+    def _processed(self, flow: Workflow) -> None:
+        """Processing is done: an issue re-checks the freeze and the reserve
+        headroom and locks its metal; then the mint or burn is submitted."""
+        if flow.kind == ISSUE:
+            ledger = self.ledger
+            if ledger.issuance_paused:
+                flow.complete(ISSUANCE_FROZEN)
                 return
-            headroom = self.ledger.attested_reserve + self.ledger.epsilon - self.ledger.total_supply
-            if amount > headroom:
-                done(WorkflowReport(ISSUE, user, INSUFFICIENT_HEADROOM, requested_at, now, delay))
+            if flow.amount > ledger.attested_reserve + ledger.epsilon - ledger.total_supply:
+                flow.complete(INSUFFICIENT_HEADROOM)
                 return
             try:
-                ticket = self.vault.lock_for_issuance(amount)
+                flow.ticket = self.vault.lock_for_issuance(flow.amount)
             except InsufficientUnlocked:
-                done(WorkflowReport(ISSUE, user, INSUFFICIENT_VAULT, requested_at, now, delay))
+                flow.complete(INSUFFICIENT_VAULT)
                 return
-            self._submit_mint(user, amount, ticket, requested_at, delay, done)
+        self._submit(flow)
 
-        self.sched.schedule_in(delay, 2, "issuance_processing", after_processing)
+    def _submit(self, flow: Workflow) -> None:
+        flow.submitted_at = self.sched.now()
+        args = (flow.user, flow.amount)
+        if flow.kind == ISSUE:
+            self.ledger.submit_tx("mint", ISSUER_ADDRESS, args, on_receipt=flow.confirmed)
+        else:
+            self.ledger.submit_tx("burn", flow.user, args, on_receipt=flow.confirmed)
 
-    def _submit_mint(self, user, amount, ticket, requested_at, agent_ms, done) -> None:
-        submitted_at = self.sched.now()
-
-        def on_receipt(receipt: Receipt) -> None:
-            now = self.sched.now()
-            if receipt.accepted:
-                done(WorkflowReport(
-                    ISSUE, user, COMPLETED, requested_at, now, agent_ms, now - submitted_at
-                ))
-                return
-            if receipt.reason == REVERT_TRADING_HALTED:
-                # Resubmit once trading resumes; the lock stays in place.
-                self.ledger.once_breaker_lift(
-                    lambda _t: self._submit_mint(
-                        user, amount, ticket, requested_at, agent_ms, done
-                    )
-                )
-                return
-            self.vault.release(ticket)
-            done(WorkflowReport(ISSUE, user, REVERTED, requested_at, now, agent_ms))
-
-        self.ledger.submit_tx("mint", ISSUER_ADDRESS, (user, amount), on_receipt=on_receipt)
-
-    # -- redemption ----------------------------------------------------------
-
-    def process_redeem(
-        self, user: str, amount: int, done: Callable[[WorkflowReport], None]
-    ) -> None:
-        requested_at = self.sched.now()
-        if not self.is_approved(user):
-            done(WorkflowReport(REDEEM, user, COMPLIANCE_BLOCKED, requested_at, requested_at))
-            return
-        if self.ledger.balance(user) < amount:
-            done(WorkflowReport(REDEEM, user, INSUFFICIENT_BALANCE, requested_at, requested_at))
-            return
-        delay = self._processing_delay()
-        self.sched.schedule_in(
-            delay, 2, "redemption_processing",
-            lambda: self._submit_burn(user, amount, requested_at, delay, done),
-        )
-
-    def _submit_burn(self, user, amount, requested_at, agent_ms, done) -> None:
-        submitted_at = self.sched.now()
-
-        def on_receipt(receipt: Receipt) -> None:
-            now = self.sched.now()
-            if receipt.accepted:
-                ticket = self.vault.authorize_withdrawal(amount)
-                self.vault.withdraw_physical(ticket)
-                done(WorkflowReport(
-                    REDEEM, user, COMPLETED, requested_at, now, agent_ms, now - submitted_at
-                ))
-                return
-            if receipt.reason == REVERT_TRADING_HALTED:
-                self.ledger.once_breaker_lift(
-                    lambda _t: self._submit_burn(user, amount, requested_at, agent_ms, done)
-                )
-                return
-            done(WorkflowReport(REDEEM, user, REVERTED, requested_at, now, agent_ms))
-
-        self.ledger.submit_tx("burn", user, (user, amount), on_receipt=on_receipt)
+    def _confirmed(self, flow: Workflow, receipt: Receipt) -> None:
+        if receipt.accepted:
+            if flow.kind == REDEEM:  # release the metal once the burn confirms
+                self.vault.withdraw_physical(self.vault.authorize_withdrawal(flow.amount))
+            flow.complete(COMPLETED)
+        elif receipt.reason == REVERT_TRADING_HALTED:
+            # Resubmit once trading resumes; a mint's lock stays in place.
+            self.ledger.once_breaker_lift(flow.resubmit)
+        else:
+            if flow.kind == ISSUE:
+                self.vault.release(flow.ticket)
+            flow.complete(REVERTED)

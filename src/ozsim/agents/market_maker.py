@@ -20,7 +20,7 @@ from ..exchange import ASK, BID, Exchange, Trade
 from ..ledger import Ledger, Receipt
 from ..sim import EventLog, Scheduler
 from ..units import MICRO, to_micro
-from .issuance import IssuanceAgent
+from .issuance import COMPLETED, ISSUE, IssuanceAgent, Workflow
 
 MM_ADDRESS = "mm"
 COLD_ADDRESS = "mm-cold"
@@ -213,30 +213,45 @@ class MarketMakerAgent:
         )
 
     def _restock(self, amount: int, now: int) -> None:
-        from_cold = min(amount, self.ledger.balance(COLD_ADDRESS))
-        minted = amount - from_cold
-        self._rebalance_pending = True
+        restock = _Restock(self, amount, min(amount, self.ledger.balance(COLD_ADDRESS)))
+        self._rebalance_pending = restock.outstanding > 0
         self.inventory += amount
-
-        outstanding = {"n": (1 if from_cold else 0) + (1 if minted else 0)}
-
-        def finish(ok: bool, qty: int) -> None:
-            if not ok:
-                self.inventory -= qty
-            outstanding["n"] -= 1
-            if outstanding["n"] == 0:
-                self._rebalance_pending = False
-                self.log.append(
-                    self.sched.now(), "mm", "rebalance",
-                    {"direction": "restock", "amount": amount},
-                )
-
-        if from_cold:
+        if restock.recalled:
             self.ledger.submit_tx(
-                "transfer", COLD_ADDRESS, (COLD_ADDRESS, MM_ADDRESS, from_cold),
-                on_receipt=lambda r: finish(r.accepted, from_cold),
+                "transfer", COLD_ADDRESS, (COLD_ADDRESS, MM_ADDRESS, restock.recalled),
+                on_receipt=restock,
             )
-        if minted:
-            self.issuance.process_issue(MM_ADDRESS, minted, lambda res: finish(res.ok, minted))
-        if outstanding["n"] == 0:
-            self._rebalance_pending = False
+        if restock.amount:
+            self.issuance.process_issue(restock)
+
+
+class _Restock(Workflow):
+    """One restock, recalled from cold storage, minted, or both: the recall's
+    receipt callback and the mint's issuance workflow.  A part that fails
+    takes its quantity back off the inventory; the last to land ends it."""
+
+    __slots__ = ("mm", "recalled", "outstanding")
+
+    def __init__(self, mm: MarketMakerAgent, amount: int, recalled: int):
+        super().__init__(ISSUE, MM_ADDRESS, amount - recalled)  # the minted part
+        self.mm = mm
+        self.recalled = recalled
+        self.outstanding = (recalled > 0) + (amount > recalled)
+
+    def __call__(self, receipt: Receipt) -> None:
+        self._landed(receipt.accepted, self.recalled)
+
+    def complete(self, status: str) -> None:
+        self._landed(status == COMPLETED, self.amount)
+
+    def _landed(self, ok: bool, qty: int) -> None:
+        mm = self.mm
+        if not ok:
+            mm.inventory -= qty
+        self.outstanding -= 1
+        if self.outstanding == 0:
+            mm._rebalance_pending = False
+            mm.log.append(
+                mm.sched.now(), "mm", "rebalance",
+                {"direction": "restock", "amount": self.recalled + self.amount},
+            )

@@ -3,8 +3,10 @@
 Every user action passes the compliance gate (onboarding), then the risk
 monitor's admission gate, then the type-specific pipeline: orders get a
 pre-trade screening delay before hitting the book, issuance and redemption go
-to the issuance agent.  Completion, status, and end-to-end latency of every
-workflow are reported to a single callback for metrics and closed-loop load.
+to the issuance agent.  Each onboarding and each action is one `_UserFlow`,
+from its request to its one report: the flow schedules its own stages, the
+issuance agent takes it whole, and its status and latency go once to a single
+callback for metrics and closed-loop load.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from ..oracle import OracleHub
 from ..sim import EventLog, RngStream, Scheduler
 from ..units import to_micro
 from .compliance import APPROVED, ComplianceAgent, MANUAL_REVIEW, UserProfile
-from .issuance import COMPLETED, ISSUE, REDEEM, IssuanceAgent, WorkflowReport
+from .issuance import COMPLETED, ISSUE, REDEEM, IssuanceAgent, Workflow, WorkflowReport
 from .risk import PLATFORM_ADDRESSES, RiskAgent
 
 ONBOARD = "onboard"
@@ -68,7 +70,7 @@ class Orchestrator:
         self.config = config
         self.on_report = on_report
         self.users: dict[str, UserState] = {}
-        self._maker_contexts: dict[int, _OrderFlow] = {}  # resting order id -> its flow
+        self._maker_contexts: dict[int, _UserFlow] = {}  # resting order id -> its flow
         # Resting order ids in the order their expiries were scheduled.  Every
         # expiry has the same delay and priority, so they fire in that order
         # too, and one bound method, made here once, serves them all without
@@ -102,32 +104,14 @@ class Orchestrator:
     # -- onboarding ------------------------------------------------------------
 
     def onboard(self, profile: UserProfile) -> None:
-        user = profile.user_id
-        state = UserState(holdings=to_micro(self.config.prefund_oz))
-        self.users[user] = state
-        now = self.sched.now()
-        decision = self.compliance.screen(profile, now, self.rng)
-
-        def finish() -> None:
-            status = decision.outcome
-            if decision.outcome == APPROVED:
-                state.approved = True
-            self._report(
-                WorkflowReport(
-                    ONBOARD, user, COMPLETED if state.approved else status,
-                    now, self.sched.now(), agent_ms=decision.processing_time_ms,
-                )
-            )
-
+        self.users[profile.user_id] = UserState(holdings=to_micro(self.config.prefund_oz))
+        flow = _UserFlow(self, ONBOARD, profile.user_id, 0)
+        decision = self.compliance.screen(profile, flow.requested_at, self.rng)
+        flow.agent_ms = decision.processing_time_ms
         if decision.outcome == MANUAL_REVIEW:
-            def resolve() -> None:
-                if decision.resolution == APPROVED:
-                    state.approved = True
-                finish()
-
-            self.sched.schedule(decision.resolved_at, 2, "manual_review", resolve)
+            self.sched.schedule(decision.resolved_at, 2, "manual_review", flow.screened)
         else:
-            self.sched.schedule(decision.decided_at, 2, "compliance_decision", finish)
+            self.sched.schedule(decision.decided_at, 2, "compliance_decision", flow.screened)
 
     # -- user actions ------------------------------------------------------------
 
@@ -135,24 +119,15 @@ class Orchestrator:
         """Entry point for load-generated actions; completion is async."""
         if kind not in (BUY, SELL, ISSUE, REDEEM):
             raise ValueError(f"unknown action {kind!r}")
-        requested_at = self.sched.now()
+        flow = _UserFlow(self, kind, user, amount)
         if not self.is_approved(user):
-            self._report(WorkflowReport(kind, user, NOT_ONBOARDED, requested_at, requested_at))
+            flow.complete(NOT_ONBOARDED)
             return
-        wait = self.risk.gate.admit(requested_at)
-
-        def admitted() -> None:
-            if kind in (BUY, SELL):
-                self._run_order(kind, user, amount, requested_at)
-            elif kind == ISSUE:
-                self._run_issue(user, amount, requested_at)
-            else:
-                self._run_redeem(user, amount, requested_at)
-
+        wait = self.risk.gate.admit(flow.requested_at)
         if wait <= 0:
-            admitted()
+            flow.admit()
         else:
-            self.sched.schedule_in(wait, 2, "admission", admitted)
+            self.sched.schedule_in(wait, 2, "admission", flow.admit)
 
     def _pre_trade_delay(self) -> int:
         if self.config.pre_trade_sigma_ms <= 0:
@@ -191,78 +166,61 @@ class Orchestrator:
             return round(ref * (1 + offset))
         return round(ref * (1 - offset))
 
-    def _run_order(self, kind: str, user: str, amount: int, requested_at: int) -> None:
-        state = self.users[user]
-        if kind == SELL:
-            if state.holdings < amount:
-                self._report(
-                    WorkflowReport(kind, user, INSUFFICIENT_HOLDINGS, requested_at, self.sched.now())
-                )
-                return
-            state.holdings -= amount  # committed to the sale from here on
-        flow = _OrderFlow(self, kind, user, amount, requested_at, state, self._pre_trade_delay())
-        self.sched.schedule_in(flow.delay, 2, "pre_trade_check", flow.place)
 
-    def _run_issue(self, user: str, amount: int, requested_at: int) -> None:
-        def done(report: WorkflowReport) -> None:
-            state = self.users.get(user)
-            if report.ok and state is not None:
-                state.holdings += amount
-            self._report(report._replace(requested_at=requested_at))
+class _UserFlow(Workflow):
+    """One onboarding, buy, sell, issue or redeem, from its request to its
+    one report.
 
-        self.issuance.process_issue(user, amount, done)
-
-    def _run_redeem(self, user: str, amount: int, requested_at: int) -> None:
-        state = self.users[user]
-        if state.holdings < amount:
-            self._report(
-                WorkflowReport(REDEEM, user, INSUFFICIENT_HOLDINGS, requested_at, self.sched.now())
-            )
-            return
-        state.holdings -= amount
-
-        def done(report: WorkflowReport) -> None:
-            if not report.ok:
-                state.holdings += amount
-            self._report(report._replace(requested_at=requested_at))
-
-        self.issuance.process_redeem(user, amount, done)
-
-
-class _OrderFlow:
-    """One buy or sell workflow, from the pre-trade check to its one report.
-
-    A flow lives while its order rests in the book or its settlement is
-    awaited, whichever ends later; the pending expiry holds only the order
-    id.  Under saturated load thousands rest at a time, so each workflow is a
-    single slotted object that is itself its settlement callback: a waiter
-    holds the flow, not a bound method made for it.  Only the scheduled
-    pre-trade action is a bound method, alive until it fires.
+    The flow is itself the callback of each stage: its own methods are
+    scheduled, a settlement waiter calls it, the issuance agent takes it
+    whole.  Under saturated load thousands rest in the book at a time, so a
+    flow holds no bound method but that of its one pending stage, and the
+    pending expiry holds only the order id.  complete(status) reports once
+    and applies the kind's holdings rule: an accepted issue adds its amount,
+    a failed sell or redeem returns the commitment it still holds.
     """
 
     __slots__ = (
-        "orch", "kind", "user", "amount", "requested_at", "state", "delay",
-        "now", "filled", "fills", "reported", "resting",
+        "orch", "requested_at", "state", "held", "filled", "fills", "reported", "resting",
     )
 
-    def __init__(
-        self, orch: Orchestrator, kind: str, user: str, amount: int,
-        requested_at: int, state: UserState, delay: int,
-    ):
+    def __init__(self, orch: Orchestrator, kind: str, user: str, amount: int):
+        super().__init__(kind, user, amount)
         self.orch = orch
-        self.kind = kind
-        self.user = user
-        self.amount = amount
-        self.requested_at = requested_at
-        self.state = state
-        self.delay = delay
+        self.requested_at = orch.sched.now()
+        self.state = orch.users.get(user)
+        self.held = 0  # taken from the user's holdings by a sell or redeem, returned on failure
         self.fills = 0  # quantity filled while resting, by later takers
         self.reported = False
+
+    def screened(self) -> None:
+        """Onboarding: the compliance decision, or its manual review, is in."""
+        decision = self.orch.compliance.decisions[self.user]
+        review = decision.outcome == MANUAL_REVIEW
+        self.state.approved = (decision.resolution if review else decision.outcome) == APPROVED
+        self.complete(COMPLETED if self.state.approved else decision.outcome)
+
+    def admit(self) -> None:
+        """Past the admission gate: commit a sale or redemption, then start the pipeline."""
+        orch, kind, amount = self.orch, self.kind, self.amount
+        if kind in (SELL, REDEEM):
+            if self.state.holdings < amount:
+                self.complete(INSUFFICIENT_HOLDINGS)
+                return
+            self.state.holdings -= amount
+            self.held = amount
+        if kind == ISSUE:
+            orch.issuance.process_issue(self)
+        elif kind == REDEEM:
+            orch.issuance.process_redeem(self)
+        else:
+            self.agent_ms = orch._pre_trade_delay()
+            orch.sched.schedule_in(self.agent_ms, 2, "pre_trade_check", self.place)
 
     def place(self) -> None:
         orch = self.orch
         kind, user, amount = self.kind, self.user, self.amount
-        self.now = orch.sched.now()
+        self.submitted_at = orch.sched.now()
         side = BID if kind == BUY else ASK
         try:
             if orch.config.order_style == "mixed":
@@ -272,10 +230,9 @@ class _OrderFlow:
             else:
                 trades, resting = orch.exchange.place(user, side, amount, kind="market")
         except (TradingHalted, NotOnboarded) as rejected:
-            if kind == SELL:
-                self.state.holdings += amount  # the commitment returns
             self.complete(TRADING_HALTED if isinstance(rejected, TradingHalted) else NOT_ONBOARDED)
             return
+        self.held = 0  # from here the fills and the expiry settle a sale's commitment
         self.filled = filled = sum(t.qty for t in trades)
         self.resting = resting
         if kind == BUY:
@@ -312,10 +269,20 @@ class _OrderFlow:
         if self.reported:
             return
         self.reported = True
-        finished = self.orch.sched.now()
-        self.orch._report(
-            WorkflowReport(
-                self.kind, self.user, status, self.requested_at, finished,
-                agent_ms=self.delay, chain_ms=max(finished - self.now, 0),
-            )
-        )
+        orch, kind = self.orch, self.kind
+        finished = orch.sched.now()
+        ok = status == COMPLETED
+        if not ok:
+            if self.held:
+                self.state.holdings += self.held
+        elif kind == ISSUE and self.state is not None:
+            self.state.holdings += self.amount
+        # An order's chain runs from its placement, whatever its status; an
+        # issue's or redemption's from its latest submission, if it completes.
+        submitted = self.submitted_at
+        chain_ms = 0
+        if submitted is not None and (ok or kind in (BUY, SELL)):
+            chain_ms = finished - submitted
+        orch._report(WorkflowReport(
+            kind, self.user, status, self.requested_at, finished, self.agent_ms, chain_ms
+        ))

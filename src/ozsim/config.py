@@ -12,13 +12,14 @@ import json
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cache
 from importlib import resources
+from operator import ge, gt
 from pathlib import Path
 from typing import TYPE_CHECKING, Annotated, Any, Optional, Union, get_args, get_origin, get_type_hints
 
 from .governance import SIGNERS
 from .ledger import PARAM_DEFAULTS, OutOfBounds, ParamStore
 from .oracle import PRIMARY, SECONDARY, Regime
-from .units import to_micro
+from .units import from_micro, to_micro
 
 if TYPE_CHECKING:  # risk imports this module
     from .agents.risk import RiskAlert
@@ -30,16 +31,18 @@ class ConfigError(Exception):
         super().__init__("; ".join(messages))
 
 
-# Bounded integers: Annotated[int, least value, what load says of a smaller one].
-Positive = Annotated[int, 1, "must be positive"]  # periods and sizes
-NonNegative = Annotated[int, 0, "must not be negative"]  # counts and offsets
+# Bounded numbers: Annotated[type, comparison, bound, what load says of a value
+# whose comparison with the bound fails].
+Positive = Annotated[int, ge, 1, "must be positive"]  # periods and sizes
+NonNegative = Annotated[int, ge, 0, "must not be negative"]  # counts and offsets
 # A simulated time or duration in milliseconds: an integer, never negative.
-NonNegativeInt = Annotated[int, 0, "must be NonNegativeInt"]
+NonNegativeInt = Annotated[int, ge, 0, "must be NonNegativeInt"]
+PositiveFloat = Annotated[float, gt, 0.0, "must be positive"]  # rates, shares, prices
 
 
 @dataclass
 class PriceSpec:
-    initial_usd_per_oz: float = 2400.0
+    initial_usd_per_oz: PositiveFloat = 2400.0
     drift_per_s: float = 0.0
     regimes: list[Regime] = field(default_factory=lambda: [Regime(0, 5e-5)])
 
@@ -74,8 +77,8 @@ class RiskSpec:
     staleness_threshold_ms: int = 10_000
     divergence_threshold: float = 0.005
     concentration_limit: float = 0.20
-    service_rate: float = 6400.0  # monitored events per second
-    admission_headroom: float = 0.85  # capacity share usable by the workload
+    service_rate: PositiveFloat = 6400.0  # monitored events per second
+    admission_headroom: PositiveFloat = 0.85  # capacity share usable by the workload
     base_monitor_events: float = 4.0  # feeds, reserve, sweeps per cycle
 
 
@@ -250,7 +253,7 @@ def _fits(tp, value: Any) -> bool:
         return type(value) is float or type(value) is int
     origin, args = get_origin(tp), get_args(tp)
     if origin is Annotated:
-        return _fits(args[0], value) and value >= args[1]
+        return _fits(args[0], value) and args[1](value, args[2])
     if origin is Union:  # Optional[X]
         return value is None or _fits(args[0], value)
     if origin is list:
@@ -263,7 +266,7 @@ def _fits(tp, value: Any) -> bool:
 def _misfit(tp, written: str, value: Any) -> str:
     """Why value does not fit tp (`written` in the source): a bound's message or the type."""
     if get_origin(tp) is Annotated:
-        base, _, message = get_args(tp)
+        base, _, _, message = get_args(tp)
         return message if _fits(base, value) else f"must be {base.__name__}"
     return f"must be {written}"
 
@@ -355,6 +358,21 @@ def load_config(data: dict) -> ScenarioConfig:
             if fault.feed not in (PRIMARY, SECONDARY):
                 errors.append(f"scenario.fault_schedule[{i}].feed: {fault.feed!r} "
                               f"is not {PRIMARY}|{SECONDARY}")
+            if fault.kind == "spoofed" and fault.magnitude <= -1:
+                errors.append(f"scenario.fault_schedule[{i}].magnitude: must exceed -1, "
+                              f"so the spoofed price stays positive; got {fault.magnitude}")
+        mm = config.mm
+        if mm.enabled and to_micro(mm.level_qty_oz) < 1:
+            errors.append("scenario.mm.level_qty_oz: must be at least one micro-ounce while "
+                          f"the market maker is enabled, got {mm.level_qty_oz}")
+        # the vault must hold the genesis locks of runner.Simulation._genesis
+        locks = [to_micro(mm.baseline_oz)] if mm.enabled and mm.baseline_oz > 0 else []
+        if config.prefund_oz > 0 and config.user_count > 0:
+            locks.append(to_micro(config.prefund_oz) * config.user_count)
+        if locks and sum(locks) > to_micro(config.vault_initial_oz):
+            errors.append(f"scenario.vault_initial_oz: {config.vault_initial_oz} oz cannot back "
+                          f"the {from_micro(sum(locks))} oz locked at genesis (mm.baseline_oz, "
+                          f"prefund_oz per user)")
         burst = config.issue_burst
         if burst is not None:
             if not 0 <= burst.window_start_ms <= burst.window_end_ms <= config.duration_ms:

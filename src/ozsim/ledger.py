@@ -57,7 +57,6 @@ PARAM_BOUNDS: dict[str, tuple[float, float]] = {
     "breaker_swing_threshold": (0.005, 0.10),
     "breaker_window_ms": (60_000, 3_600_000),
     "breaker_cooldown_ms": (60_000, 3_600_000),
-    "fee_rate": (0.0, 0.01),
 }
 
 PARAM_DEFAULTS: dict[str, float | int] = {
@@ -65,7 +64,6 @@ PARAM_DEFAULTS: dict[str, float | int] = {
     "breaker_window_ms": 300_000,
     "breaker_cooldown_ms": 300_000,
     "epsilon_micro_oz": 0,
-    "fee_rate": 0.0,
 }
 
 

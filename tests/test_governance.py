@@ -120,7 +120,7 @@ class TestExecuteParam:
     def test_vote_power_is_snapshot_at_proposal(self):
         sched, ledger, gov = make_gov()
         ledger.genesis_mint("whale", to_micro(500))
-        prop = gov.propose_param("fee_rate", 0.001, now=0)
+        prop = gov.propose_param("breaker_swing_threshold", 0.03, now=0)
         ledger.genesis_mint("late", to_micro(10_000))  # after snapshot
         gov.vote(prop, "late", False)
         gov.vote(prop, "whale", True)
@@ -130,7 +130,7 @@ class TestExecuteParam:
     def test_duplicate_vote_ignored(self):
         sched, ledger, gov = make_gov()
         ledger.genesis_mint("whale", to_micro(500))
-        prop = gov.propose_param("fee_rate", 0.001, now=0)
+        prop = gov.propose_param("breaker_swing_threshold", 0.03, now=0)
         gov.vote(prop, "whale", True)
         gov.vote(prop, "whale", True)
         assert prop.votes_for == to_micro(500)
@@ -162,7 +162,7 @@ def test_governance_actions_are_logged():
     stream = io.StringIO()
     sched, ledger, gov = make_gov(log=EventLog(stream))
     ledger.genesis_mint("whale", to_micro(500))
-    prop = gov.propose_param("fee_rate", 0.002, now=0)
+    prop = gov.propose_param("breaker_swing_threshold", 0.04, now=0)
     gov.vote(prop, "whale", True)
     gov.execute_param(prop, DAY_MS)
     records = map(json.loads, stream.getvalue().splitlines())

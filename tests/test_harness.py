@@ -16,7 +16,8 @@ from ozsim.bench import bench_config
 from ozsim.checks import run_checks
 from ozsim.cli import main as cli_main
 from ozsim.config import (
-    ComplianceSpec, ConfigError, bundled_scenario_names, load_bundled, load_config,
+    ComplianceSpec, ConfigError, ScenarioConfig, bundled_scenario_names, load_bundled,
+    load_config,
 )
 from ozsim.metrics import Sample
 from ozsim.profiles import CorpusSpec, generate_profiles
@@ -131,7 +132,7 @@ class TestConfig:
             load_config({**MINIMAL, "risk": {"phase_ms": -1}})
         assert tiny_config(risk={"phase_ms": 0}).risk.phase_ms == 0
 
-    PROPOSAL = {"action": "param_proposal", "param": "fee_rate", "value": 0.001,
+    PROPOSAL = {"action": "param_proposal", "param": "breaker_swing_threshold", "value": 0.03,
                 "propose_at_ms": 1_000}
     UPDATE = {"action": "agent_update", "agent": "market-maker", "version": "v2",
               "signers": ["signer-1", "signer-2"], "sign_at_ms": [1_000, 2_000]}
@@ -212,8 +213,8 @@ class TestConfig:
          r"fault_schedule\[0\]\.duration_ms: must be NonNegativeInt"),
         ({"params": {"breaker_swing_threshold": -1.0}},
          r"scenario\.params: out-of-bounds ledger parameter breaker_swing_threshold=-1\.0 "),
-        ({"params": {"fee_rate": 5.0}},
-         r"scenario\.params: out-of-bounds ledger parameter fee_rate=5\.0 outside"),
+        ({"params": {"breaker_swing_threshold": 5.0}},
+         r"scenario\.params: out-of-bounds ledger parameter breaker_swing_threshold=5\.0 outside"),
         ({"params": {"epsilon_micro_oz": 1_000_001}},  # 0.1% of the 1,000 oz genesis reserve
          r"scenario\.params: out-of-bounds ledger parameter epsilon_micro_oz=1000001 "),
         ({"governance_schedule": [{**PROPOSAL, "param": "nonexistent", "votes": [["mm", True]]}]},
@@ -223,9 +224,46 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             load_config({**MINIMAL, **overrides})
 
+    # Configs that used to load and then raise mid-run: a division by zero in the
+    # admission gate, a quote of no quantity, the log of a zero price, a genesis
+    # lock the vault cannot back, a spoofed price of zero or less.
+    CRASHED = {**MINIMAL, "duration_ms": 120_000, "user_count": 10, "user_arrival_hz": 0.2,
+               "prefund_oz": 5.0}
+    SPOOF = {"target": "oracle", "kind": "spoofed", "start_ms": 10_000, "duration_ms": 30_000}
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"risk": {"service_rate": 0}}, r"scenario\.risk\.service_rate: must be positive"),
+        ({"risk": {"admission_headroom": 0.0}},
+         r"scenario\.risk\.admission_headroom: must be positive"),
+        ({"mm": {"level_qty_oz": 0}},
+         r"scenario\.mm\.level_qty_oz: must be at least one micro-ounce while the market maker"),
+        ({"price": {"initial_usd_per_oz": 0.0}},
+         r"scenario\.price\.initial_usd_per_oz: must be positive"),
+        ({"vault_initial_oz": 349.0},
+         r"scenario\.vault_initial_oz: 349\.0 oz cannot back the 350\.0 oz locked at genesis"),
+        ({"vault_initial_oz": 49.0, "mm": {"enabled": False}},
+         r"scenario\.vault_initial_oz: 49\.0 oz cannot back the 50\.0 oz locked at genesis"),
+        ({"fault_schedule": [{**SPOOF, "magnitude": -1.0}]},
+         r"scenario\.fault_schedule\[0\]\.magnitude: must exceed -1"),
+        ({"fault_schedule": [{**SPOOF, "feed": "secondary", "magnitude": -1.0}]},
+         r"scenario\.fault_schedule\[0\]\.magnitude: must exceed -1"),
+    ])
+    def test_config_that_raised_mid_run_rejected_at_load(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config({**self.CRASHED, **overrides})
+
+    @pytest.mark.parametrize("overrides", [
+        {"mm": {"level_qty_oz": 0, "enabled": False}},  # no quotes, nothing to size
+        {"vault_initial_oz": 350.0},  # exactly the genesis lock
+        {"fault_schedule": [{**SPOOF, "feed": "secondary", "magnitude": -0.99}]},
+    ])
+    def test_neighbours_of_the_refused_configs_run(self, overrides):
+        run_scenario(load_config({**self.CRASHED, **overrides}))
+
     def test_params_at_their_bounds_load(self):
-        params = {"breaker_swing_threshold": 0.005, "fee_rate": 0.01, "epsilon_micro_oz": 1_000_000}
-        assert tiny_config(params=params).params == params
+        for swing in (0.005, 0.10):  # both bounds of the threshold
+            params = {"breaker_swing_threshold": swing, "epsilon_micro_oz": 1_000_000}
+            assert tiny_config(params=params).params == params
 
     def test_schedule_defaults_live_on_the_spec(self):
         proposal = tiny_config(governance_schedule=[self.PROPOSAL]).governance_schedule[0]
@@ -353,8 +391,11 @@ class TestGenesis:
         assert sim.vault.locked_micro_oz == sim.vault.total_micro_oz == to_micro(1_000)
 
     def test_vault_too_small_for_the_prefund_refuses_to_build(self):
-        with pytest.raises(InsufficientUnlocked):
-            Simulation(tiny_config(user_count=10, prefund_oz=70.000001, vault_initial_oz=1_000.0))
+        fields = {"user_count": 10, "prefund_oz": 70.000001, "vault_initial_oz": 1_000.0}
+        with pytest.raises(ConfigError, match=r"scenario\.vault_initial_oz: 1000\.0 oz cannot"):
+            tiny_config(**fields)
+        with pytest.raises(InsufficientUnlocked):  # built past load's checks
+            Simulation(ScenarioConfig(**MINIMAL, **fields))
 
 
 def no_garbage_config(name):
@@ -417,9 +458,11 @@ def test_obligations_in_flight_hold_no_bound_method_each():
     The probe fires at 6 s of a 2k-user, 8 s bench-base point, when
     thousands of these are pending.  The expiries share the one method the
     orchestrator binds when it is built; a flow and a batch are called
-    directly.  Only a flow's pending pre-trade action is a bound method.
+    directly.  A flow's one pending stage action (its screening, admission,
+    pre-trade check, processing, receipt or retry) is a bound method of the
+    flow, and no flow holds two.
     """
-    from ozsim.agents.orchestrator import Orchestrator, _OrderFlow
+    from ozsim.agents.orchestrator import Orchestrator, _UserFlow
     from ozsim.exchange import _Batch
 
     config = bench_config(dataclasses.replace(load_bundled("bench-base"), duration_ms=8_000), 2_000)
@@ -429,6 +472,8 @@ def test_obligations_in_flight_hold_no_bound_method_each():
         return [m for m in gc.get_objects() if isinstance(m, types.MethodType)]
 
     built = [m for m in methods() if isinstance(m.__self__, Orchestrator)]
+    stages = {_UserFlow.screened, _UserFlow.admit, _UserFlow.place, _UserFlow.processed,
+              _UserFlow.confirmed, _UserFlow.resubmit}
     seen = {}
 
     def probe():
@@ -437,16 +482,18 @@ def test_obligations_in_flight_hold_no_bound_method_each():
             isinstance(m.__self__, Orchestrator) and not any(m is b for b in built) for m in live
         )
         seen["batch"] = sum(isinstance(m.__self__, _Batch) for m in live)
-        seen["flow"] = sum(
-            isinstance(m.__self__, _OrderFlow) and m.__func__ is not _OrderFlow.place
-            for m in live
-        )
-        seen["in flight"] = sum(isinstance(o, (_OrderFlow, _Batch)) for o in gc.get_objects())
+        flow_methods = [m for m in live if isinstance(m.__self__, _UserFlow)]
+        seen["flow"] = sum(m.__func__ not in stages for m in flow_methods)
+        per_flow = Counter(id(m.__self__) for m in flow_methods)
+        seen["staged flows"] = len(per_flow)
+        seen["flow with two"] = sum(n > 1 for n in per_flow.values())
+        seen["in flight"] = sum(isinstance(o, (_UserFlow, _Batch)) for o in gc.get_objects())
 
     sim.sched.schedule(6_000, 7, "probe", probe)
     sim.execute()
     assert seen.pop("in flight") > 1_000
-    assert seen == {"orchestrator": 0, "batch": 0, "flow": 0}
+    assert seen.pop("staged flows") > 0
+    assert seen == {"orchestrator": 0, "batch": 0, "flow": 0, "flow with two": 0}
 
 
 def cut_line(log: bytes, index: int) -> bytes:

@@ -7,9 +7,11 @@ from ozsim.agents.issuance import (
     INSUFFICIENT_BALANCE,
     INSUFFICIENT_HEADROOM,
     ISSUANCE_FROZEN,
+    ISSUE,
+    REDEEM,
     REVERTED,
 )
-from ozsim.agents.orchestrator import UserState
+from ozsim.agents.orchestrator import UserState, _UserFlow
 from ozsim.units import to_micro
 
 
@@ -18,13 +20,24 @@ def approve(w, *names):
         w.orchestrator.users[name] = UserState(approved=True)
 
 
+def process(w, kind, user, amount):
+    """Hand the agent one workflow built as the orchestrator builds it, past
+    its admission gate; the flow's report lands in w.reports."""
+    flow = _UserFlow(w.orchestrator, kind, user, amount)
+    if kind == ISSUE:
+        w.issuance.process_issue(flow)
+    else:
+        w.issuance.process_redeem(flow)
+    return flow
+
+
 class TestIssue:
     def test_latency_decomposition_with_deterministic_agent_delay(self, world_factory):
         w = world_factory(issuance_sigma=0.0)
         approve(w, "alice")
-        results = []
+        results = w.reports
         w.run_to(10_000)
-        w.issuance.process_issue("alice", to_micro(5), results.append)
+        process(w, ISSUE, "alice", to_micro(5))
         w.run_to(12_000)
         (res,) = results
         assert res.status == COMPLETED
@@ -45,8 +58,8 @@ class TestIssue:
 
         w.ledger.set_issuance_paused(True, 5_000, "risk")
         w.risk.shortfall_alert = RiskAlert("ReserveShortfall", 5_000, "frozen")
-        results = []
-        w.issuance.process_issue("alice", to_micro(1), results.append)
+        results = w.reports
+        process(w, ISSUE, "alice", to_micro(1))
         w.run_to(8_000)
         assert results[0].status == ISSUANCE_FROZEN
         assert results[0].latency_ms == 0
@@ -61,8 +74,8 @@ class TestIssue:
     def test_headroom_precheck_fails_before_any_tx(self, world_factory):
         w = world_factory()
         approve(w, "alice")
-        results = []
-        w.issuance.process_issue("alice", to_micro(800), results.append)  # headroom is 700
+        results = w.reports
+        process(w, ISSUE, "alice", to_micro(800))  # headroom is 700
         w.run_to(3_000)
         assert results[0].status == INSUFFICIENT_HEADROOM
         assert w.vault.locked_micro_oz == to_micro(300)  # no stray lock
@@ -73,10 +86,10 @@ class TestIssue:
         # metal deposited but not yet attested: vault accepts both locks while
         # the on-chain reserve still caps supply at 1000
         w.vault.deposit_physical(to_micro(500))
-        results = []
+        results = w.reports
         w.run_to(10_000)
-        w.issuance.process_issue("a", to_micro(400), results.append)
-        w.issuance.process_issue("b", to_micro(400), results.append)
+        process(w, ISSUE, "a", to_micro(400))
+        process(w, ISSUE, "b", to_micro(400))
         w.run_to(12_000)
         statuses = sorted(r.status for r in results)
         assert statuses == [COMPLETED, REVERTED]
@@ -87,9 +100,9 @@ class TestIssue:
     def test_mint_reverted_by_halt_retries_after_lift(self, world_factory):
         w = world_factory(issuance_sigma=0.0)
         approve(w, "alice")
-        results = []
+        results = w.reports
         w.run_to(10_000)
-        w.issuance.process_issue("alice", to_micro(5), results.append)
+        process(w, ISSUE, "alice", to_micro(5))
         w.run_to(10_500)
         w.ledger.trip_breaker(10_500, "test")
         w.run_to(60_000)
@@ -103,9 +116,9 @@ class TestRedeem:
     def test_redemption_burns_and_withdraws_metal(self, world_factory):
         w = world_factory(issuance_sigma=0.0, genesis_balances={"alice": 5})
         approve(w, "alice")
-        results = []
+        results = w.reports
         w.run_to(10_000)
-        w.issuance.process_redeem("alice", to_micro(5), results.append)
+        process(w, REDEEM, "alice", to_micro(5))
         w.run_to(12_000)
         (res,) = results
         assert res.status == COMPLETED
@@ -116,10 +129,10 @@ class TestRedeem:
     def test_redemption_during_halt_retried_after_lift(self, world_factory):
         w = world_factory(issuance_sigma=0.0, genesis_balances={"alice": 5})
         approve(w, "alice")
-        results = []
+        results = w.reports
         w.run_to(10_000)
         w.ledger.trip_breaker(10_000, "test")
-        w.issuance.process_redeem("alice", to_micro(5), results.append)
+        process(w, REDEEM, "alice", to_micro(5))
         w.run_to(300_000)
         assert results == []
         w.run_to(312_000)
@@ -129,19 +142,19 @@ class TestRedeem:
     def test_insufficient_balance_fails_immediately(self, world_factory):
         w = world_factory(genesis_balances={"alice": 1})
         approve(w, "alice")
-        results = []
-        w.issuance.process_redeem("alice", to_micro(2), results.append)
+        results = w.reports
+        process(w, REDEEM, "alice", to_micro(2))
         assert results[0].status == INSUFFICIENT_BALANCE
 
 
 def test_vault_and_chain_stay_consistent_through_issue_redeem_cycle(world_factory):
     w = world_factory(issuance_sigma=0.0)
     approve(w, "alice")
-    results = []
+    results = w.reports
     w.run_to(5_000)
-    w.issuance.process_issue("alice", to_micro(50), results.append)
+    process(w, ISSUE, "alice", to_micro(50))
     w.run_to(8_000)
-    w.issuance.process_redeem("alice", to_micro(20), results.append)
+    process(w, REDEEM, "alice", to_micro(20))
     w.run_to(70_000)  # past the next attestation
     assert [r.status for r in results] == [COMPLETED, COMPLETED]
     # attested reserve reflects the withdrawal; supply matches backing

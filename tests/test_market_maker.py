@@ -159,6 +159,22 @@ class TestInventoryControl:
         assert w.ledger.total_supply == to_micro(350)
         assert w.vault.locked_micro_oz == to_micro(350)
 
+    def test_split_restock_whose_mint_is_refused_ends_when_the_recall_lands(
+        self, world_factory
+    ):
+        w = world_factory(genesis_balances={"mm-cold": 20})
+        w.run_to(5_000)
+        w.ledger.set_issuance_paused(True, 5_000, "test")  # the mint part fails at once
+        w.mm.inventory = -to_micro(50)
+        w.mm.maybe_rebalance(5_000)
+        assert w.mm.inventory == -to_micro(30)  # the 30 oz mint is taken back
+        assert w.mm._rebalance_pending  # the 20 oz recall is still in flight
+        w.run_to(8_000)
+        assert not w.mm._rebalance_pending
+        assert w.mm.inventory == -to_micro(30)
+        assert w.ledger.balance("mm-cold") == 0
+        assert '"direction":"restock"' in w.log_stream.getvalue()
+
     def test_rebalance_only_triggers_at_threshold(self, world_factory):
         w = world_factory()
         w.run_to(5_000)

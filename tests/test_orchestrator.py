@@ -212,7 +212,7 @@ def test_unknown_action_rejected_before_admission(world_factory):
     assert w.reports == []
 
 
-# -- issue and redeem: the issuance agent's report, forwarded -------------------
+# -- issue and redeem: one flow through the issuance agent, reported once --------
 
 
 def test_issue_latency_counts_the_admission_wait(world_factory):
@@ -244,10 +244,45 @@ def test_redeem_whose_burn_reverts_returns_the_holdings(world_factory):
     w.run_to(20_000)
     (report,) = w.reports
     assert (report.kind, report.status) == ("redeem", "reverted")
-    assert (report.requested_at, report.finished_at, report.agent_ms) == (10_000, 11_300, 400)
+    # a reverted burn carries the agent's time only, no chain time
+    assert (report.requested_at, report.finished_at, report.agent_ms, report.chain_ms) == (
+        10_000, 11_300, 400, 0)
     assert w.vault.total_micro_oz == to_micro(1000)  # no metal left the vault
     assert w.orchestrator.holdings("carol") == to_micro(5)
     assert w.ledger.balance("dave") == to_micro(5)
+
+
+@pytest.mark.parametrize("kind, holdings_after", [("issue", 10), ("redeem", 0)])
+def test_issue_or_redeem_retried_at_a_lift_after_an_admission_wait_reports_once(
+    world_factory, kind, holdings_after
+):
+    w = world_factory(issuance_sigma=0.0, genesis_balances={"carol": 5})
+    trader(w, "carol", oz=5)
+    flows = []
+    process = getattr(w.issuance, f"process_{kind}")
+    setattr(w.issuance, f"process_{kind}", lambda flow: (flows.append(flow), process(flow)))
+    w.risk.gate = AdmissionGate(service_rate=1.0, headroom=1.0)  # one event a second
+    w.run_to(10_000)
+    w.risk.gate.admit(10_000)  # the pipeline is busy until 11.000 s
+    w.orchestrator.handle(kind, "carol", to_micro(5))
+    # admitted 11.000 s -> processed and submitted 11.400 s; the halt reverts
+    # the tx in the 12.000 s block, and the breaker lifts at 311.500 s
+    w.run_to(11_500)
+    w.ledger.trip_breaker(11_500, "test")
+    w.run_to(311_000)
+    assert w.reports == []
+    w.run_to(320_000)
+    (report,) = w.reports
+    assert (report.kind, report.status, report.requested_at) == (kind, "completed", 10_000)
+    # resubmitted at the lift -> block 312.000 s -> observable 312.300 s
+    assert (report.agent_ms, report.finished_at, report.chain_ms) == (400, 312_300, 800)
+    assert w.orchestrator.holdings("carol") == to_micro(holdings_after)
+    assert w.ledger.balance("carol") == to_micro(holdings_after)
+    (flow,) = flows
+    flow.complete("completed")
+    flow.complete("reverted")
+    assert len(w.reports) == 1
+    assert w.orchestrator.holdings("carol") == to_micro(holdings_after)
 
 
 # -- order-path state lives as long as its workflow, not as long as its timers ----
