@@ -49,7 +49,7 @@ class PriceSpec:
 
 @dataclass
 class SizeSpec:
-    median_oz: float = 2.0
+    median_oz: PositiveFloat = 2.0  # the lognormal's median: LoadGenerator takes its log
     sigma: float = 0.5
     min_oz: float = 0.1
     max_oz: float = 40.0
@@ -361,10 +361,16 @@ def load_config(data: dict) -> ScenarioConfig:
             if fault.kind == "spoofed" and fault.magnitude <= -1:
                 errors.append(f"scenario.fault_schedule[{i}].magnitude: must exceed -1, "
                               f"so the spoofed price stays positive; got {fault.magnitude}")
+        if to_micro(config.price.initial_usd_per_oz) < 1:  # feeds post integer micro-USD
+            errors.append("scenario.price.initial_usd_per_oz: must be at least one "
+                          f"micro-dollar, got {config.price.initial_usd_per_oz}")
         mm = config.mm
         if mm.enabled and to_micro(mm.level_qty_oz) < 1:
             errors.append("scenario.mm.level_qty_oz: must be at least one micro-ounce while "
                           f"the market maker is enabled, got {mm.level_qty_oz}")
+        if mm.enabled and to_micro(mm.inv_limit_oz) == 0:  # the quote skew divides by it
+            errors.append("scenario.mm.inv_limit_oz: must not round to zero micro-ounces "
+                          f"while the market maker is enabled, got {mm.inv_limit_oz}")
         # the vault must hold the genesis locks of runner.Simulation._genesis
         locks = [to_micro(mm.baseline_oz)] if mm.enabled and mm.baseline_oz > 0 else []
         if config.prefund_oz > 0 and config.user_count > 0:

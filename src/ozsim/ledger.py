@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from .sim import EventLog, Scheduler
+from .sim import Canonical, EventLog, Scheduler, field_text, quote
 
 if TYPE_CHECKING:  # config imports this module
     from .config import Fault, ScenarioConfig
@@ -206,18 +206,30 @@ class Ledger:
 
     def genesis_mint(self, recipient: str, amount: int) -> None:
         """Pre-start allocation, recorded as a height-0 event."""
+        self.genesis_allocate([recipient], amount)
+
+    def genesis_allocate(self, recipients: list[str], amount: int) -> None:
+        """Pre-start allocation of amount to each recipient in turn: one
+        genesis_mint record each, {to, amount, supply after it}, logged as one
+        batch."""
         if self._started:
             raise RuntimeError("genesis_mint after start")
-        self.balances[recipient] = self.balances.get(recipient, 0) + amount
-        self.total_supply += amount
-        self._touched[recipient] = None
-        self._supply_changed = True
-        self.log.append(
-            self.sched.now(),
-            "ledger",
-            "genesis_mint",
-            {"to": recipient, "amount": amount, "supply": self.total_supply},
-        )
+        balances, touched = self.balances, self._touched
+        supply = self.total_supply
+        head = f'{{"amount":{field_text(amount)},"supply":'
+        exact = supply.__class__ is int and amount.__class__ is int  # so is every later supply
+        texts = []
+        for recipient in recipients:
+            balances[recipient] = balances.get(recipient, 0) + amount
+            touched[recipient] = None
+            supply += amount
+            # field_text(supply) and field_text(recipient), without the calls
+            to = quote(recipient) if recipient.__class__ is str else field_text(recipient)
+            texts.append(f'{head}{supply if exact else field_text(supply)},"to":{to}}}')
+        if texts:
+            self.total_supply = supply
+            self._supply_changed = True
+            self.log.append_batch(self.sched.now(), "ledger", "genesis_mint", texts)
 
     def set_genesis_reserve(self, amount: int) -> None:
         self.attested_reserve = amount
@@ -246,41 +258,42 @@ class Ledger:
         now = self.sched.now()
         self.height += 1
         cap = self.config.max_txs_per_block
-        batch = self._queue[:cap]
-        self._queue = self._queue[cap:]
-        receipts: list[tuple[Optional[Callable[[Receipt], None]], Receipt]] = []
-        tx_rows: list[list] = []
-        for tx in batch:
-            receipt = self._execute(tx)
-            receipts.append((tx.on_receipt, receipt))
-            tx_rows.append(
-                [tx.kind, tx.sender, "ok" if receipt.accepted else receipt.reason]
-            )
-            if receipt.accepted:
-                self.accepted_tx_count += 1
-        self.log.append(
-            now,
-            "ledger",
-            "block",
-            {
-                "height": self.height,
-                "txs": tx_rows,
-                "supply": self.total_supply,
-                "reserve": self.attested_reserve,
-            },
-        )
+        batch = self._queue
+        if len(batch) <= cap:
+            self._queue = []
+        else:
+            batch, self._queue = batch[:cap], batch[cap:]
         # Only receipts with a callback get a confirmation event; the rest
         # would fire one that calls nothing.  The commit jitter spreads
         # confirmations symmetrically around the commit latency in 25 ms
-        # steps; zero means one delivery per block.
+        # steps; zero means one delivery per block.  An offset is drawn for
+        # every receipt, so the stream does not depend on which txs carry a
+        # callback.
         j = self.config.commit_jitter_ms
+        jitter = self._jitter_rng
         buckets: dict[int, list] = {}
-        for item in receipts:
-            # Drawn for every receipt, so the stream does not depend on
-            # which txs carry a callback.
-            offset = self._jitter_rng.randrange(-j, j + 1, 25) if j else 0
-            if item[0] is not None:
-                buckets.setdefault(offset, []).append(item)
+        rows = []  # the canonical text of each [kind, sender, "ok" or revert reason]
+        for tx in batch:
+            receipt = self._execute(tx)
+            if receipt.accepted:
+                self.accepted_tx_count += 1
+                status = '"ok"'
+            else:
+                status = field_text(receipt.reason)
+            rows.append(f"[{field_text(tx.kind)},{field_text(tx.sender)},{status}]")
+            offset = jitter.randrange(-j, j + 1, 25) if j else 0
+            if tx.on_receipt is not None:
+                buckets.setdefault(offset, []).append((tx.on_receipt, receipt))
+        # canonical_line of {"height", "txs": [row, ...], "supply", "reserve"};
+        # the rows, then the joined rows, are freed before the next copy
+        txs = ",".join(rows)
+        del rows
+        detail = Canonical(
+            f'{{"height":{field_text(self.height)},"reserve":{field_text(self.attested_reserve)},'
+            f'"supply":{field_text(self.total_supply)},"txs":[{txs}]}}'
+        )
+        del txs
+        self.log.append(now, "ledger", "block", detail)
         for offset, group in sorted(buckets.items()):
             self.sched.schedule(
                 now + self.config.commit_latency_ms + offset, 2, "confirmations",

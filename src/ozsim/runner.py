@@ -179,8 +179,7 @@ class Simulation:
             amount = to_micro(config.prefund_oz)
             users = self.loadgen.user_ids()
             self.vault.lock_for_issuance(amount * len(users))  # one lock covers every allocation
-            for user_id in users:
-                self.ledger.genesis_mint(user_id, amount)
+            self.ledger.genesis_allocate(users, amount)
 
     # -- schedule construction ---------------------------------------------------
 

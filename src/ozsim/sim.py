@@ -171,7 +171,11 @@ class Scheduler:
 # cost.  This C encoder is built once, with the settings of that call (sorted
 # keys, ASCII escaping, NaN allowed, circular-reference check), so it writes the
 # same bytes.  CPython ships _json on every supported version; there is no
-# pure-Python fallback.
+# pure-Python fallback.  The two bulk record kinds, genesis_mint (one per user
+# at build) and block, skip it: their detail text is built from the fields by
+# hand (field_text), at under a quarter of the encoder's cost per genesis
+# record, and without the encoder's list of chunks, tens of thousands for a full
+# block.
 if json.encoder.c_make_encoder is None:
     raise ImportError("ozsim needs the C JSON encoder of CPython's _json module")
 _MARKERS: dict[int, Any] = {}
@@ -201,6 +205,27 @@ def canonical_line(record: dict) -> str:
     return _encode(record)
 
 
+quote = json.encoder.encode_basestring_ascii  # a str's canonical text
+
+
+def field_text(value: Any) -> str:
+    """The canonical text of one field: a str or int by hand, as the encoder
+    writes them, anything else (a subclass of either included) by the encoder."""
+    cls = value.__class__
+    if cls is str:
+        return quote(value)
+    if cls is int:
+        return int.__repr__(value)
+    return _encode(value)
+
+
+class Canonical(str):
+    """A record detail given as its canonical text: what canonical_line writes
+    for the detail dict it stands for.  EventLog writes it as it is."""
+
+    __slots__ = ()
+
+
 class EventLog:
     """Append-only structured log with a streaming SHA-256 digest.
 
@@ -216,17 +241,19 @@ class EventLog:
         self._hash = hashlib.sha256()
         self._middles: dict[tuple[str, str], str] = {}  # (source, kind) -> encoded text
 
-    def append(self, t: int, source: str, kind: str, detail: dict[str, Any]) -> None:
-        if t < self._last_t:
-            raise ValueError(f"event log time went backwards: {t} < {self._last_t}")
+    def _middle(self, source: str, kind: str) -> str:
         # canonical_line's bytes: the keys sort as detail < kind < source < t, and
         # only detail and t vary between records of one (source, kind)
-        middle = self._middles.get((source, kind))
-        if middle is None:
-            middle = self._middles[source, kind] = (
-                f',"kind":{_encode(kind)},"source":{_encode(source)},"t":'
-            )
-        text = _encode(detail)
+        middle = self._middles[source, kind] = (
+            f',"kind":{_encode(kind)},"source":{_encode(source)},"t":'
+        )
+        return middle
+
+    def append(self, t: int, source: str, kind: str, detail: dict[str, Any] | Canonical) -> None:
+        if t < self._last_t:
+            raise ValueError(f"event log time went backwards: {t} < {self._last_t}")
+        middle = self._middles.get((source, kind)) or self._middle(source, kind)
+        text = detail if detail.__class__ is Canonical else _encode(detail)
         tail = f"{middle}{_encode(t)}}}\n"
         self._last_t = t
         # The line is '{"detail":' + text + tail.  Hashed in parts, a block's text
@@ -239,6 +266,23 @@ class EventLog:
         self.count += 1
         if self._stream is not None:
             self._stream.write(f'{{"detail":{text}{tail}')
+
+    def append_batch(self, t: int, source: str, kind: str, texts: list[str]) -> None:
+        """Append one record at t per canonical detail text in texts, as append
+        would one by one, but hashed and written as one piece of text."""
+        if t < self._last_t:
+            raise ValueError(f"event log time went backwards: {t} < {self._last_t}")
+        if not texts:
+            return
+        middle = self._middles.get((source, kind)) or self._middle(source, kind)
+        tail = f"{middle}{_encode(t)}}}\n"
+        self._last_t = t
+        head = '{"detail":'
+        lines = f"{head}{(tail + head).join(texts)}{tail}"
+        self._hash.update(lines.encode())
+        self.count += len(texts)
+        if self._stream is not None:
+            self._stream.write(lines)
 
     def digest(self) -> str:
         return self._hash.hexdigest()

@@ -226,7 +226,10 @@ class TestConfig:
 
     # Configs that used to load and then raise mid-run: a division by zero in the
     # admission gate, a quote of no quantity, the log of a zero price, a genesis
-    # lock the vault cannot back, a spoofed price of zero or less.
+    # lock the vault cannot back, a spoofed price of zero or less, a price that
+    # rounds to zero micro-USD (a division by zero in the divergence check), the
+    # log of a zero median size, an inventory limit that rounds to zero (a
+    # division by zero in the quote skew).
     CRASHED = {**MINIMAL, "duration_ms": 120_000, "user_count": 10, "user_arrival_hz": 0.2,
                "prefund_oz": 5.0}
     SPOOF = {"target": "oracle", "kind": "spoofed", "start_ms": 10_000, "duration_ms": 30_000}
@@ -247,6 +250,16 @@ class TestConfig:
          r"scenario\.fault_schedule\[0\]\.magnitude: must exceed -1"),
         ({"fault_schedule": [{**SPOOF, "feed": "secondary", "magnitude": -1.0}]},
          r"scenario\.fault_schedule\[0\]\.magnitude: must exceed -1"),
+        ({"price": {"initial_usd_per_oz": 1e-7}},
+         r"scenario\.price\.initial_usd_per_oz: must be at least one micro-dollar, got 1e-07"),
+        ({"order_size": {"median_oz": 0.0, "min_oz": 0.0}},
+         r"scenario\.order_size\.median_oz: must be positive, got 0\.0"),
+        ({"order_size": {"median_oz": -1.0}},
+         r"scenario\.order_size\.median_oz: must be positive, got -1\.0"),
+        ({"mm": {"inv_limit_oz": 0.0}},
+         r"scenario\.mm\.inv_limit_oz: must not round to zero micro-ounces while the market"),
+        ({"mm": {"inv_limit_oz": 1e-7}},
+         r"scenario\.mm\.inv_limit_oz: must not round to zero micro-ounces .* got 1e-07"),
     ])
     def test_config_that_raised_mid_run_rejected_at_load(self, overrides, message):
         with pytest.raises(ConfigError, match=message):
@@ -256,6 +269,10 @@ class TestConfig:
         {"mm": {"level_qty_oz": 0, "enabled": False}},  # no quotes, nothing to size
         {"vault_initial_oz": 350.0},  # exactly the genesis lock
         {"fault_schedule": [{**SPOOF, "feed": "secondary", "magnitude": -0.99}]},
+        {"price": {"initial_usd_per_oz": 1e-6}},  # one micro-dollar
+        {"order_size": {"median_oz": 1e-3}},
+        {"mm": {"inv_limit_oz": -5.0}},  # at most one side quoted, the skew reversed
+        {"mm": {"inv_limit_oz": 0.0, "enabled": False}},  # no quotes, nothing to skew
     ])
     def test_neighbours_of_the_refused_configs_run(self, overrides):
         run_scenario(load_config({**self.CRASHED, **overrides}))

@@ -443,3 +443,137 @@ def test_property_price_window_matches_brute_force_scan(ops):
         if expected:
             ledger.governance_unpause(now)
 
+
+
+# -- hand-built records ----------------------------------------------------------
+# The genesis_mint and block records are written from their fields, not through
+# the encoder; each must be canonical_line of the dict the encoder was given.
+
+import hashlib
+import tracemalloc
+
+from ozsim.ledger import Receipt
+from ozsim.sim import canonical_line
+
+# non-ASCII, control and lone-surrogate characters, quotes and backslashes
+_texts = st.text(st.characters(blacklist_categories=()), max_size=6) | st.sampled_from(
+    ['"', "\\", '\\"', "é\x00\ud800", "ok"])
+_big = st.integers(min_value=-(2**63), max_value=2**63)
+# what is not exactly an int or a str takes the encoder's path
+_others = st.none() | st.booleans() | st.floats() | st.lists(_texts, max_size=2)
+_fields = _texts | _big | _others
+_numbers = _big | st.booleans() | st.floats()
+_receipts = st.just(ACCEPTED) | st.builds(Receipt, st.just(False), _fields)
+_block_txs = st.tuples(
+    st.lists(st.tuples(_fields, _fields, _receipts), min_size=1, max_size=4),
+    st.sampled_from([0, 1, 2, 3, 1001, 1500]),  # empty, one-tx, quiet, over-1,000-tx
+).map(lambda drawn: [drawn[0][i % len(drawn[0])] for i in range(drawn[1])])
+
+
+def _lines(stream: io.StringIO) -> list[str]:
+    return stream.getvalue().split("\n")[:-1]  # every line ends in "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    supply=_big, amount=_numbers,
+    recipients=st.lists(_texts | _big, max_size=5),
+    single=_texts,
+    blocks=st.lists(
+        st.tuples(st.integers(0, 5_000), _big, _numbers, _numbers, _block_txs),
+        min_size=1, max_size=3,
+    ),
+)
+def test_property_genesis_and_block_records_are_the_encoded_dicts(
+        supply, amount, recipients, single, blocks):
+    stream = io.StringIO()
+    log = EventLog(stream)
+    sched = Scheduler(seed=1)
+    ledger = Ledger(sched, log, CONFIG)
+    ledger.total_supply = supply
+    expected = []
+
+    def record(kind, detail):
+        expected.append(canonical_line(
+            {"t": sched.now(), "source": "ledger", "kind": kind, "detail": detail}))
+
+    ledger.genesis_allocate(recipients, amount)
+    for recipient in recipients:
+        supply += amount
+        record("genesis_mint", {"to": recipient, "amount": amount, "supply": supply})
+    ledger.genesis_mint(single, amount)  # the one-recipient case
+    supply += amount
+    record("genesis_mint", {"to": single, "amount": amount, "supply": supply})
+    assert ledger.total_supply == supply
+    assert _lines(stream) == expected
+    assert log.count == len(expected)
+
+    receipts = {}
+    ledger._execute = lambda tx: receipts[tx.tx_id]
+    for wait, height, total_supply, reserve, txs in blocks:
+        sched.run_until(sched.now() + wait)
+        ledger.height = height - 1
+        ledger.total_supply, ledger.attested_reserve = total_supply, reserve
+        for kind, sender, receipt in txs:
+            receipts[ledger.submit_tx(kind, sender, ())] = receipt
+        ledger._produce_block()
+        record("block", {
+            "height": height,
+            "txs": [[kind, sender, "ok" if r.accepted else r.reason] for kind, sender, r in txs],
+            "supply": total_supply,
+            "reserve": reserve,
+        })
+    written = _lines(stream)
+    assert len(written) == len(expected)
+    for n, (line, want) in enumerate(zip(written, expected)):
+        assert line == want, f"record {n}"
+    assert log.count == len(expected)
+    assert log.digest() == hashlib.sha256("".join(
+        line + "\n" for line in expected).encode()).hexdigest()
+
+
+def test_genesis_batch_of_no_recipients_writes_nothing():
+    log = EventLog()
+    sched = Scheduler(seed=1)
+    ledger = Ledger(sched, log, CONFIG)
+    ledger.genesis_allocate([], 5)
+    assert (log.count, log.digest(), ledger.total_supply, ledger.drain_touched()) == (
+        0, hashlib.sha256().hexdigest(), 0, ({}, False))
+
+
+def test_genesis_after_start_is_refused():
+    sched, ledger = make_ledger()
+    ledger.start()
+    with pytest.raises(RuntimeError):
+        ledger.genesis_allocate(["a"], 5)
+
+
+def test_queue_over_the_block_cap_carries_its_tail_in_order():
+    stream = io.StringIO()
+    sched, ledger = make_ledger(EventLog(stream), max_txs_per_block=2)
+    ledger.set_genesis_reserve(to_micro(1000))
+    ledger.start()
+    for n in range(5):
+        ledger.submit_tx("post_price", f"s{n}", ("secondary", 1))
+    sched.run_until(3_000)
+    blocks = [json.loads(line)["detail"] for line in _lines(stream)[1:]]
+    assert [[row[1] for row in b["txs"]] for b in blocks] == [["s0", "s1"], ["s2", "s3"], ["s4"]]
+
+
+def test_a_full_block_holds_a_few_copies_of_its_text_not_a_chunk_per_field():
+    """The encoder built a block record as a list of chunks, several per tx, so
+    a 5,000-tx block rose 12 times its text's length inside _produce_block."""
+    sched, ledger = make_ledger()
+    ledger.genesis_mint("a", to_micro(1000))
+    users = [f"user-{n:04d}" for n in range(5_000)]
+    for user in users:
+        ledger.submit_tx("transfer", user, ("a", user, 1), on_receipt=lambda receipt: None)
+    tracemalloc.start()
+    try:
+        ledger._produce_block()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    text = canonical_line({"height": 1, "txs": [["transfer", user, "ok"] for user in users],
+                           "supply": ledger.total_supply, "reserve": 0})
+    assert peak - after < 6 * len(text), f"rose {peak - after} bytes for {len(text)}"
